@@ -6,10 +6,9 @@
 // table/figure from scratch when run.
 //
 // All page loads issued from here go through one process-wide BatchRunner:
-// independent loads fan out over a thread pool (EAB_JOBS workers) and repeat
-// loads — e.g. a figure re-measuring pages an earlier table already loaded —
-// come back from the memo cache.  Results are in submission order, so every
-// number printed is bit-identical to the old serial loops.
+// independent loads fan out over a thread pool (EAB_JOBS workers).  Results
+// are in submission order, so every number printed is bit-identical to the
+// old serial loops.
 #pragma once
 
 #include <cctype>
@@ -42,8 +41,8 @@ inline void print_header(const std::string& figure, const std::string& what) {
   std::printf("==============================================================\n");
 }
 
-/// The process-wide batch engine every harness shares: one thread pool plus
-/// one memo cache, so paired Original/Energy-Aware sweeps reuse loads.
+/// The process-wide batch engine every harness shares: one thread pool and
+/// one merged metrics registry for the bench's snapshot.
 inline core::BatchRunner& shared_runner() {
   static core::BatchRunner runner;
   return runner;
@@ -109,16 +108,6 @@ inline BenchmarkAverages run_benchmark(const std::vector<corpus::PageSpec>& spec
 /// Percentage saving helper: (base - ours) / base.
 inline double saving(double base, double ours) {
   return base <= 0 ? 0 : (base - ours) / base;
-}
-
-/// One strictly-parsed floating point knob from the registry: unset or
-/// empty falls back, malformed (or out of the registered bounds) exits 2.
-/// `positive` and `expected` must match the registered spec — kept in the
-/// signature so legacy call sites stay source-compatible.
-inline double env_f64_or(const char* name, double fallback,
-                         bool /*positive*/ = false,
-                         const char* /*expected*/ = nullptr) {
-  return knobs().f64_or(name, fallback);
 }
 
 /// EAB_OUTAGE_COUNT / _START / _PERIOD / _DURATION / _FAIL_RATE / _SEED:

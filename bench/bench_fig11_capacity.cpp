@@ -28,8 +28,7 @@ using namespace eab;
 std::vector<Seconds> service_times(const std::vector<corpus::PageSpec>& specs,
                                    browser::PipelineMode mode,
                                    const capacity::CapacityConfig& config) {
-  // One batched sweep per mode; the shared memo cache also means the Fig 10
-  // harness (same specs, same configs) would reuse these loads in-process.
+  // One batched sweep per mode over the shared pool.
   return cell::measure_service_times(specs, mode, config,
                                      bench::shared_runner());
 }
@@ -221,8 +220,8 @@ int run_cell_mode() {
   // EAB_CHECKPOINT_DIR; stdout, BENCH_cell.json and the metrics snapshot
   // are byte-identical to the in-process path (the supervision report goes
   // to stderr, outside the deterministic output).
-  std::vector<cell::CellResult> orig_results;
-  std::vector<cell::CellResult> ea_results;
+  std::vector<cell::CellResult> orig_results(users_axis.size());
+  std::vector<cell::CellResult> ea_results(users_axis.size());
   if (bench::supervise_enabled()) {
     std::string fingerprint = "fig11-cell v1";
     bench::appendf(fingerprint,
@@ -261,8 +260,6 @@ int run_cell_mode() {
     const std::size_t n = users_axis.size();
     std::vector<int> both_axis(users_axis);
     both_axis.insert(both_axis.end(), users_axis.begin(), users_axis.end());
-    orig_results.resize(n);
-    ea_results.resize(n);
     cell::CellConfig base =
         cell_config(browser::PipelineMode::kOriginal, params);
     const cell::CellConfig ea_base =
@@ -291,12 +288,17 @@ int run_cell_mode() {
       return 1;
     }
   } else {
-    orig_results = cell::run_cell_sweep(
+    const auto pooled = core::SweepExecution::pooled(bench::shared_runner());
+    cell::run_cell_sweep(
         cell_config(browser::PipelineMode::kOriginal, params), users_axis,
-        bench::shared_runner());
-    ea_results = cell::run_cell_sweep(
+        pooled, [&](std::size_t i, const cell::CellResult& result) {
+          orig_results[i] = result;
+        });
+    cell::run_cell_sweep(
         cell_config(browser::PipelineMode::kEnergyAware, params), users_axis,
-        bench::shared_runner());
+        pooled, [&](std::size_t i, const cell::CellResult& result) {
+          ea_results[i] = result;
+        });
   }
 
   // The abstract model, scaled to the same small cell, for the side-by-side
@@ -314,14 +316,18 @@ int run_cell_mode() {
   TextTable table({"users", "drop% orig (cell)", "drop% ea (cell)",
                    "drop% orig (M/G/N)", "drop% ea (M/G/N)", "busy orig",
                    "busy ea"});
+  std::vector<double> orig_drops;
+  std::vector<double> ea_drops;
   for (std::size_t i = 0; i < users_axis.size(); ++i) {
+    orig_drops.push_back(orig_results[i].drop_probability());
+    ea_drops.push_back(ea_results[i].drop_probability());
     mgn.users = users_axis[i];
     const auto mgn_orig = capacity::simulate_capacity(mgn, orig_service, 42);
     const auto mgn_ea = capacity::simulate_capacity(mgn, ea_service, 42);
     table.add_row(
         {std::to_string(users_axis[i]),
-         format_fixed(100 * orig_results[i].drop_probability(), 2),
-         format_fixed(100 * ea_results[i].drop_probability(), 2),
+         format_fixed(100 * orig_drops[i], 2),
+         format_fixed(100 * ea_drops[i], 2),
          format_fixed(100 * mgn_orig.drop_probability, 2),
          format_fixed(100 * mgn_ea.drop_probability, 2),
          format_fixed(orig_results[i].mean_busy_grants, 2),
@@ -330,9 +336,9 @@ int run_cell_mode() {
   std::printf("%s", table.render().c_str());
 
   const double cap_orig =
-      cell::users_at_drop_target(users_axis, orig_results, params.target);
+      cell::users_at_drop_target(users_axis, orig_drops, params.target);
   const double cap_ea =
-      cell::users_at_drop_target(users_axis, ea_results, params.target);
+      cell::users_at_drop_target(users_axis, ea_drops, params.target);
   std::printf("cell capacity at %.0f%% dropping: original %.1f users, "
               "energy-aware %.1f users -> +%.1f%%\n",
               params.target * 100, cap_orig, cap_ea,

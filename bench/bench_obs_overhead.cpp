@@ -48,8 +48,8 @@ std::vector<core::BatchJob> make_sweep(bool traced) {
   return jobs;
 }
 
-/// Best-of-`reps` wall clock for one cold run of `jobs` (a fresh runner per
-/// repetition: the memo cache would otherwise answer every repeat for free).
+/// Best-of-`reps` wall clock for one run of `jobs` (a fresh runner per
+/// repetition, so no metrics carry over between repeats).
 double best_wall(const std::vector<core::BatchJob>& jobs, int reps,
                  std::vector<core::SingleLoadResult>* out) {
   double best = 1e9;

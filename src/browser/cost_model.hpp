@@ -55,6 +55,9 @@ struct ComputeCostModel {
   Seconds image_decode(Bytes size) const {
     return image_decode_per_kb * to_kilobytes(size);
   }
+
+  friend bool operator==(const ComputeCostModel&,
+                         const ComputeCostModel&) = default;
 };
 
 }  // namespace eab::browser

@@ -20,6 +20,8 @@ struct Viewport {
   int line_height_px = 16;
   int default_image_height_px = 120;
   int default_image_width_px = 160;
+
+  friend bool operator==(const Viewport&, const Viewport&) = default;
 };
 
 /// Computed page geometry.

@@ -65,6 +65,9 @@ struct PipelineConfig {
   bool defer_css_parse = true;
   /// Draw the cheap text-only intermediate display on full-version pages.
   bool intermediate_text_display = true;
+
+  friend bool operator==(const PipelineConfig&,
+                         const PipelineConfig&) = default;
 };
 
 /// Timing and accounting results of one page load.

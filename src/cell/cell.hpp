@@ -39,13 +39,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/energy_report.hpp"
 #include "core/scenario.hpp"
-#include "core/supervisor.hpp"
+#include "core/sweep.hpp"
 #include "corpus/page_spec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -198,15 +198,6 @@ struct CellResult {
 /// per-UE template is re-validated through ScenarioBuilder::build()).
 CellResult run_cell(const CellConfig& config);
 
-/// Users-axis sweep sharded across a BatchRunner: results[i] is
-/// run_cell(base with users = users_axis[i]), bit-identical to the serial
-/// loop regardless of worker count.
-/// DEPRECATED: thin wrapper over core::SweepDriver<CellResult> (the pooled
-/// tier); new call sites should build the driver directly.
-std::vector<CellResult> run_cell_sweep(const CellConfig& base,
-                                       const std::vector<int>& users_axis,
-                                       core::BatchRunner& runner);
-
 /// Bit-exact binary encoding of a CellResult for cross-process transfer
 /// (supervised sweeps checkpoint these records): every field including the
 /// per-UE stats and the metrics registry round-trips exactly — doubles as
@@ -218,39 +209,28 @@ std::string serialize_cell_result(const CellResult& result);
 /// truncated or malformed bytes (a torn checkpoint record).
 CellResult deserialize_cell_result(std::string_view bytes);
 
-/// run_cell_sweep on the process-level supervision layer: each users-axis
-/// point is one forked worker shard, completed points stream back to
-/// `consume` in ascending axis order (merge-on-arrival; each result is
-/// released after the callback returns, so aggregation is constant-memory
-/// in the axis length), and — when the supervisor has a checkpoint path —
-/// a killed run resumes with bit-identical results.  The per-UE template
-/// must not enable tracing (recorders cannot cross the process boundary);
-/// throws std::invalid_argument otherwise.  Returns the supervision report;
-/// a failed shard surfaces there and `consume` skips it.
-/// DEPRECATED: thin wrapper over core::SweepDriver<CellResult> (the
-/// supervised tier); new call sites should build the driver directly.
-core::SupervisorReport run_cell_sweep_streaming(
+/// Users-axis sweep on the unified core::SweepDriver: shard i is
+/// run_cell(base with users = users_axis[i]), consumed in ascending index
+/// order on every tier (merge-on-arrival: each result is released after
+/// the callback returns, so aggregation is constant-memory in the axis
+/// length) with bit-identical results.  On the supervised tier each point
+/// is one forked worker shard and — when the supervisor has a checkpoint
+/// path — a killed run resumes with bit-identical results; the per-UE
+/// template must then not enable tracing (recorders cannot cross the
+/// process boundary; throws std::invalid_argument).  Returns the
+/// supervision report: a failed supervised shard surfaces there and
+/// `consume` skips it; serial/pooled tiers return an all-ok report and
+/// propagate shard exceptions instead.
+core::SupervisorReport run_cell_sweep(
     const CellConfig& base, const std::vector<int>& users_axis,
-    core::Supervisor& supervisor,
+    const core::SweepExecution& exec,
     const std::function<void(std::size_t index, const CellResult& result)>&
         consume);
 
-/// Convenience wrapper over run_cell_sweep_streaming that collects the
-/// results into a vector (results[i] corresponds to users_axis[i]); throws
-/// std::runtime_error if any shard failed.  Bit-identical to
-/// run_cell_sweep() over the same axis for any worker count, kill schedule
-/// or resume history.
-/// DEPRECATED: thin wrapper over run_cell_sweep_streaming (itself a
-/// core::SweepDriver wrapper); new call sites should build the driver.
-std::vector<CellResult> run_cell_sweep_supervised(
-    const CellConfig& base, const std::vector<int>& users_axis,
-    core::Supervisor& supervisor);
-
 /// Users supported at `target` drop probability, linearly interpolated over
-/// a sweep (results must correspond to ascending users_axis entries).
-/// Returns the last axis value if the target is never reached.
+/// ascending (users, drop) sweep points.  Returns the last axis value if
+/// the target is never reached.
 double users_at_drop_target(const std::vector<int>& users_axis,
-                            const std::vector<CellResult>& results,
-                            double target);
+                            const std::vector<double>& drops, double target);
 
 }  // namespace eab::cell

@@ -28,10 +28,10 @@ StackConfig StackConfig::for_mode(browser::PipelineMode mode) {
   return ScenarioBuilder(mode).build().stack;
 }
 
-SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
-                                              const StackConfig& config,
-                                              Seconds reading_window,
-                                              std::uint64_t seed) {
+// Scenario's run methods (declared in scenario.hpp) assemble and run the
+// stacks; run_single_load at the end of this file wraps run_single.
+SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
+  const StackConfig& config = stack;
   sim::Simulator sim;
   sim.set_event_budget(config.sim_event_budget);
   net::WebServer server;
@@ -202,11 +202,9 @@ SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
   return result;
 }
 
-ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
-                                            const StackConfig& config,
-                                            const ProxyConfig& proxy,
-                                            Seconds reading_window,
-                                            std::uint64_t seed) {
+ProxyLoadResult Scenario::run_proxy(const corpus::PageSpec& spec,
+                                    const ProxyConfig& proxy) const {
+  const StackConfig& config = stack;
   // The proxy fetches and renders the page server-side; the phone sees one
   // bundle whose size is the page's total bytes scaled by the compression
   // ratio. We reuse the generated page only for its true byte total.
@@ -242,7 +240,7 @@ ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
   while (!displayed && sim.step()) {
   }
   if (!displayed) {
-    throw std::logic_error("run_proxy_load: load did not complete");
+    throw std::logic_error("Scenario::run_proxy: load did not complete");
   }
   sim.run_until(result.total_time + reading_window);
   const auto total = PowerTimeline::sum(rrc.power(), cpu.power());
@@ -251,8 +249,8 @@ ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
   return result;
 }
 
-BulkDownloadResult detail::run_bulk_download_impl(Bytes bytes,
-                                                  const StackConfig& config) {
+BulkDownloadResult Scenario::run_bulk(Bytes bytes) const {
+  const StackConfig& config = stack;
   sim::Simulator sim;
   radio::RrcMachine rrc(sim, config.rrc, config.power);
   net::SharedLink link(sim, config.link.dch_bandwidth);
@@ -268,14 +266,14 @@ BulkDownloadResult detail::run_bulk_download_impl(Bytes bytes,
   while (!done && sim.step()) {
   }
   if (!done) {
-    throw std::logic_error("run_bulk_download: transfer did not complete");
+    throw std::logic_error("Scenario::run_bulk: transfer did not complete");
   }
   result.energy = rrc.power().energy(0.0, result.finished);
   result.link_rate = link.rate_history();
   return result;
 }
 
-// Legacy entry points: thin wrappers over the unified builder path, so every
+// Legacy entry point: a thin wrapper over the unified builder path, so every
 // caller — old or new — passes the same build()-time validation.
 SingleLoadResult run_single_load(const corpus::PageSpec& spec,
                                  const StackConfig& config,
@@ -286,22 +284,6 @@ SingleLoadResult run_single_load(const corpus::PageSpec& spec,
       .seed(seed)
       .build()
       .run_single(spec);
-}
-
-ProxyLoadResult run_proxy_load(const corpus::PageSpec& spec,
-                               const StackConfig& config,
-                               const ProxyConfig& proxy, Seconds reading_window,
-                               std::uint64_t seed) {
-  return ScenarioBuilder()
-      .stack(config)
-      .reading_window(reading_window)
-      .seed(seed)
-      .build()
-      .run_proxy(spec, proxy);
-}
-
-BulkDownloadResult run_bulk_download(Bytes bytes, const StackConfig& config) {
-  return ScenarioBuilder().stack(config).build().run_bulk(bytes);
 }
 
 }  // namespace eab::core

@@ -26,9 +26,9 @@ namespace eab::core {
 /// Runtime disturbances the chaos engine injects into one load — the fault
 /// domains that cannot be expressed as plain config perturbations (timer
 /// drift and CPU slowdown just rescale RrcConfig / ComputeCostModel fields).
-/// All fields are plain data serialised into batch_memo_key; the zero value
-/// schedules nothing, so a default ChaosDirectives leaves the event stream
-/// byte-identical to a stack built before this struct existed.
+/// All fields are plain data; the zero value schedules nothing, so a default
+/// ChaosDirectives leaves the event stream byte-identical to a stack built
+/// before this struct existed.
 struct ChaosDirectives {
   /// User abort: the load is gracefully abandoned at this simulated time
   /// (PageLoad::abort tears down fetches, link flows and transfer markers).
@@ -47,6 +47,9 @@ struct ChaosDirectives {
   bool enabled() const {
     return abort_at > 0 || ril_socket_failures > 0 || cache_storm_count > 0;
   }
+
+  friend bool operator==(const ChaosDirectives&,
+                         const ChaosDirectives&) = default;
 };
 
 /// Configuration of the whole measurement stack.
@@ -94,6 +97,8 @@ struct StackConfig {
 
   /// Convenience: a stack for the given mode with everything else default.
   static StackConfig for_mode(browser::PipelineMode mode);
+
+  friend bool operator==(const StackConfig&, const StackConfig&) = default;
 };
 
 /// Everything measured from one load.
@@ -155,7 +160,6 @@ struct BulkDownloadResult {
   PowerTimeline link_rate;
   Seconds duration() const { return finished - started; }
 };
-BulkDownloadResult run_bulk_download(Bytes bytes, const StackConfig& config);
 
 /// Proxy-assisted browsing comparator (the paper's Section 6: Opera
 /// Mini-style systems render on a server and ship a compact bundle).
@@ -175,29 +179,5 @@ struct ProxyLoadResult {
   EnergyReport energy;
   Bytes bundle_bytes = 0;
 };
-
-/// Loads `spec` through a rendering proxy: one request, one compressed
-/// bundle, one client-side unpack+display, radio released right after the
-/// bundle (the proxy knows the page is complete).
-ProxyLoadResult run_proxy_load(const corpus::PageSpec& spec,
-                               const StackConfig& config,
-                               const ProxyConfig& proxy = {},
-                               Seconds reading_window = 20.0,
-                               std::uint64_t seed = 1);
-
-namespace detail {
-// The actual stack assemblers, shared by Scenario's run methods and the
-// legacy wrappers above.  Call sites should go through ScenarioBuilder.
-SingleLoadResult run_single_load_impl(const corpus::PageSpec& spec,
-                                      const StackConfig& config,
-                                      Seconds reading_window,
-                                      std::uint64_t seed);
-BulkDownloadResult run_bulk_download_impl(Bytes bytes,
-                                          const StackConfig& config);
-ProxyLoadResult run_proxy_load_impl(const corpus::PageSpec& spec,
-                                    const StackConfig& config,
-                                    const ProxyConfig& proxy,
-                                    Seconds reading_window, std::uint64_t seed);
-}  // namespace detail
 
 }  // namespace eab::core

@@ -3,20 +3,6 @@
 #include <stdexcept>
 
 namespace eab::core {
-
-SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
-  return detail::run_single_load_impl(spec, stack, reading_window, seed);
-}
-
-BulkDownloadResult Scenario::run_bulk(Bytes bytes) const {
-  return detail::run_bulk_download_impl(bytes, stack);
-}
-
-ProxyLoadResult Scenario::run_proxy(const corpus::PageSpec& spec,
-                                    const ProxyConfig& proxy) const {
-  return detail::run_proxy_load_impl(spec, stack, proxy, reading_window, seed);
-}
-
 namespace {
 
 void require(bool ok, const char* what) {

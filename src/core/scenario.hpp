@@ -3,8 +3,8 @@
 // ScenarioBuilder is the single way one-UE and N-UE experiments are put
 // together: fluent setters over StackConfig plus the run parameters
 // (reading window, seed), with every contradictory-knob check applied once
-// at build().  The legacy free functions (run_single_load and friends) are
-// thin wrappers over a built Scenario, and the cell co-simulation consumes
+// at build().  The legacy free function run_single_load is a thin wrapper
+// over a built Scenario, and the cell co-simulation consumes
 // a Scenario as its per-UE template — so a config that passed build() is
 // valid everywhere.
 #pragma once
@@ -24,10 +24,14 @@ struct Scenario {
   Seconds reading_window = 20.0;
   std::uint64_t seed = 1;
 
-  /// The run_* entry points, identical in behavior to the legacy free
-  /// functions of experiment.hpp (which now delegate here).
+  /// One page load plus the reading window (run_single_load delegates
+  /// here).
   SingleLoadResult run_single(const corpus::PageSpec& spec) const;
+  /// The Fig 4 comparator: `bytes` through a raw socket, no browser.
   BulkDownloadResult run_bulk(Bytes bytes) const;
+  /// Loads `spec` through a rendering proxy: one request, one compressed
+  /// bundle, one client-side unpack+display, radio released right after
+  /// the bundle (the proxy knows the page is complete).
   ProxyLoadResult run_proxy(const corpus::PageSpec& spec,
                             const ProxyConfig& proxy = {}) const;
 };

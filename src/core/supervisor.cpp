@@ -8,9 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -73,19 +73,20 @@ std::string make_frame(std::uint8_t kind, std::string_view payload) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
   ::signal(SIGPIPE, SIG_IGN);
 
-  std::mutex pipe_mutex;  // heartbeat thread vs result write
-  std::atomic<bool> stop{false};
+  // The heartbeat thread waits on `stop` rather than sleeping, so a
+  // finished shard is reported at once.  It is the only pipe writer until
+  // it is joined; the result frame is written after that.
+  std::mutex stop_mutex;
+  std::condition_variable stop_cv;
+  bool stop = false;
   std::thread heartbeat([&] {
     const auto interval = std::chrono::duration<double>(
         std::max(0.001, static_cast<double>(heartbeat_interval)));
     const std::string frame = make_frame(kFrameHeartbeat, {});
-    while (!stop.load(std::memory_order_relaxed)) {
-      {
-        std::lock_guard<std::mutex> lock(pipe_mutex);
-        pipe_full_write(write_fd, frame);
-      }
-      std::this_thread::sleep_for(interval);
-    }
+    std::unique_lock<std::mutex> lock(stop_mutex);
+    do {
+      pipe_full_write(write_fd, frame);
+    } while (!stop_cv.wait_for(lock, interval, [&] { return stop; }));
   });
 
   std::uint8_t kind = kFrameResult;
@@ -100,12 +101,13 @@ std::string make_frame(std::uint8_t kind, std::string_view payload) {
     payload = "unknown exception";
   }
 
-  stop.store(true, std::memory_order_relaxed);
-  heartbeat.join();
   {
-    std::lock_guard<std::mutex> lock(pipe_mutex);
-    pipe_full_write(write_fd, make_frame(kind, payload));
+    std::lock_guard<std::mutex> lock(stop_mutex);
+    stop = true;
   }
+  stop_cv.notify_one();
+  heartbeat.join();
+  pipe_full_write(write_fd, make_frame(kind, payload));
   ::close(write_fd);
   _exit(0);
 }

@@ -66,6 +66,8 @@ struct PageSpec {
 
   /// Total bytes across every resource the page pulls in.
   Bytes total_bytes() const;
+
+  friend bool operator==(const PageSpec&, const PageSpec&) = default;
 };
 
 /// The ten mobile-version benchmark pages (Table 3, left column).

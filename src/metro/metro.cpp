@@ -554,27 +554,4 @@ core::SupervisorReport run_metro_sweep(
   return driver.run(users_axis.size(), exec);
 }
 
-double users_at_drop_target(const std::vector<int>& users_axis,
-                            const std::vector<double>& drops, double target) {
-  if (users_axis.size() != drops.size() || users_axis.empty()) {
-    throw std::invalid_argument(
-        "metro::users_at_drop_target: axis/drops size mismatch or empty");
-  }
-  double previous_users = users_axis.front();
-  double previous_drop = drops.front();
-  if (previous_drop >= target) return previous_users;
-  for (std::size_t i = 1; i < users_axis.size(); ++i) {
-    const double users = users_axis[i];
-    const double drop = drops[i];
-    if (drop >= target) {
-      const double slope =
-          (drop - previous_drop) / std::max(1e-9, users - previous_users);
-      return previous_users + (target - previous_drop) / std::max(1e-9, slope);
-    }
-    previous_users = users;
-    previous_drop = drop;
-  }
-  return users_axis.back();
-}
-
 }  // namespace eab::metro

@@ -14,10 +14,9 @@
 //    the same fate on its n-th attempt under Original and Energy-Aware
 //    alike, which is what makes "identical DOM given identical fault
 //    outcomes" a testable invariant.
-//  * Memo-cache soundness.  A FaultPlan is plain data carried inside
-//    core::StackConfig; every field is serialised into batch_memo_key
-//    (DESIGN.md §6b), so two loads differing only in their faults never
-//    collide in the batch engine's cache.
+//  * Plain data.  A FaultPlan is carried inside core::StackConfig and
+//    compares with a defaulted operator==, so two stacks differing only in
+//    their faults are never equal.
 //
 // Fade windows are scheduled up front (a bounded count, so simulations
 // always drain), pausing the SharedLink: in-flight flows stop draining and
@@ -72,6 +71,8 @@ struct FaultPlan {
   bool has_fades() const { return fade_count > 0 && fade_duration > 0; }
   /// A disabled plan must be indistinguishable from no plan at all.
   bool enabled() const { return has_request_faults() || has_fades(); }
+
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
 /// The outcome drawn for one (url, attempt) pair.

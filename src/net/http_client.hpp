@@ -67,6 +67,8 @@ struct RetryPolicy {
     for (int i = 1; i < retry_number; ++i) wait *= backoff_factor;
     return wait;
   }
+
+  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// Result of one fetch.

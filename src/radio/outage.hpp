@@ -10,9 +10,9 @@
 //    Rng(derive_seed(seed, kOutageWindowStream ^ ue_id)) and nothing else, so
 //    a cell sweep computes identical windows regardless of sharding, and the
 //    re-establishment success stream is a pure per-UE sequence as well.
-//  * Memo-cache soundness.  The plan is plain data carried inside
-//    core::StackConfig; every field is serialised into batch_memo_key, so two
-//    loads differing only in their outages never collide in the memo cache.
+//  * Plain data.  The plan is carried inside core::StackConfig and compares
+//    with a defaulted operator==, so two stacks differing only in their
+//    outages are never equal.
 //
 // The plan itself knows nothing about the RRC machine or the shared link —
 // net::OutageInjector (net/outage.hpp) turns the windows into radio_link_down
@@ -48,6 +48,8 @@ struct OutagePlan {
 
   /// A disabled plan must be indistinguishable from no plan at all.
   bool enabled() const { return count > 0 && duration > 0; }
+
+  friend bool operator==(const OutagePlan&, const OutagePlan&) = default;
 };
 
 /// One coverage hole: the link is down in [begin, end).

@@ -87,6 +87,8 @@ struct RrcConfig {
   /// Mean radio power while the handover exchange is in flight —
   /// signalling at full transmit power, like an IDLE->DCH promotion.
   Watts handover_power = 1.55;
+
+  friend bool operator==(const RrcConfig&, const RrcConfig&) = default;
 };
 
 /// Whole-phone power levels per state (paper Table 5).
@@ -105,6 +107,9 @@ struct RadioPowerModel {
   /// maintenance floor but far less than camping on shared channels —
   /// Table-5-consistent interpolation between idle (0.15) and FACH (0.63).
   Watts out_of_service = 0.50;
+
+  friend bool operator==(const RadioPowerModel&,
+                         const RadioPowerModel&) = default;
 };
 
 /// Link throughput parameters for the simulated T-Mobile UMTS path.
@@ -126,6 +131,8 @@ struct LinkConfig {
 
   /// Extra request delay from slow start for a response of `size` bytes.
   Seconds slow_start_delay(Bytes size) const;
+
+  friend bool operator==(const LinkConfig&, const LinkConfig&) = default;
 };
 
 }  // namespace eab::radio

@@ -51,6 +51,24 @@ std::string fingerprint(const CellResult& r) {
   return out;
 }
 
+/// run_cell_sweep on `exec`, collected into axis order.
+std::vector<CellResult> sweep(const CellConfig& base,
+                              const std::vector<int>& axis,
+                              const core::SweepExecution& exec) {
+  std::vector<CellResult> results(axis.size());
+  const core::SupervisorReport report = run_cell_sweep(
+      base, axis, exec,
+      [&results](std::size_t i, const CellResult& r) { results[i] = r; });
+  EXPECT_TRUE(report.ok()) << report.summary();
+  return results;
+}
+
+std::vector<double> drops_of(const std::vector<CellResult>& results) {
+  std::vector<double> drops;
+  for (const CellResult& r : results) drops.push_back(r.drop_probability());
+  return drops;
+}
+
 TEST(CellTest, SameSeedSameResult) {
   const auto config = small_cell(browser::PipelineMode::kEnergyAware);
   const CellResult a = run_cell(config);
@@ -82,10 +100,9 @@ TEST(CellTest, ShardedEventQueuesAreBitIdenticalToSingleQueue) {
 TEST(CellTest, SweepSerialEqualsSharded) {
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner serial(1);
   core::BatchRunner pooled(3);
-  const auto a = run_cell_sweep(config, axis, serial);
-  const auto b = run_cell_sweep(config, axis, pooled);
+  const auto a = sweep(config, axis, core::SweepExecution::serial());
+  const auto b = sweep(config, axis, core::SweepExecution::pooled(pooled));
   ASSERT_EQ(a.size(), axis.size());
   ASSERT_EQ(b.size(), axis.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -121,9 +138,10 @@ TEST(CellTest, SerializingTracedResultsIsRejected) {
   EXPECT_THROW(serialize_cell_result(traced), std::invalid_argument);
 
   core::Supervisor supervisor;
-  EXPECT_THROW(
-      run_cell_sweep_supervised(config, {2}, supervisor),
-      std::invalid_argument);
+  EXPECT_THROW(run_cell_sweep(config, {2},
+                              core::SweepExecution::supervised(supervisor),
+                              nullptr),
+               std::invalid_argument);
 }
 
 TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
@@ -132,13 +150,15 @@ TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
   // sweep.
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner runner(1);
-  const auto reference = run_cell_sweep(config, axis, runner);
+  core::BatchRunner runner(2);
+  const auto reference =
+      sweep(config, axis, core::SweepExecution::pooled(runner));
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
-  const auto supervised = run_cell_sweep_supervised(config, axis, supervisor);
+  const auto supervised =
+      sweep(config, axis, core::SweepExecution::supervised(supervisor));
 
   ASSERT_EQ(supervised.size(), reference.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -193,13 +213,14 @@ TEST(CellTest, EnergyAwareAdmitsAtLeastAsManyUsersAtEqualDropTarget) {
   // run-to-run noise of a finite horizon (the bench sweeps a bigger cell).
   const std::vector<int> axis{3, 6, 9, 12, 15, 18};
   core::BatchRunner runner(1);
+  const auto pooled = core::SweepExecution::pooled(runner);
 
   auto orig = small_cell(browser::PipelineMode::kOriginal);
   auto ea = small_cell(browser::PipelineMode::kEnergyAware);
   orig.channels = ea.channels = 3;
   orig.horizon = ea.horizon = 360.0;
-  const auto orig_results = run_cell_sweep(orig, axis, runner);
-  const auto ea_results = run_cell_sweep(ea, axis, runner);
+  const auto orig_results = sweep(orig, axis, pooled);
+  const auto ea_results = sweep(ea, axis, pooled);
 
   // Both drop curves are (weakly) monotone in #users...
   for (std::size_t i = 1; i < axis.size(); ++i) {
@@ -210,8 +231,9 @@ TEST(CellTest, EnergyAwareAdmitsAtLeastAsManyUsersAtEqualDropTarget) {
   }
   // ...and fast dormancy frees grants sooner, so the energy-aware pipeline
   // supports at least as many users at the 5 % service level (Fig 11).
-  const double cap_orig = users_at_drop_target(axis, orig_results, 0.05);
-  const double cap_ea = users_at_drop_target(axis, ea_results, 0.05);
+  const double cap_orig =
+      users_at_drop_target(axis, drops_of(orig_results), 0.05);
+  const double cap_ea = users_at_drop_target(axis, drops_of(ea_results), 0.05);
   EXPECT_GE(cap_ea, cap_orig);
   // Shorter holds also show up directly in the grant ledger.
   EXPECT_LT(ea_results.back().mean_grant_hold,
@@ -303,8 +325,8 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
     config.sim_shards = 1;
 
     core::Supervisor supervisor(sup_config);
-    const auto supervised =
-        run_cell_sweep_supervised(config, {config.users}, supervisor);
+    const auto supervised = sweep(config, {config.users},
+                                  core::SweepExecution::supervised(supervisor));
     ASSERT_EQ(supervised.size(), 1u);
     EXPECT_EQ(serialize_cell_result(supervised[0]), reference)
         << "seed " << seed << " supervised";

@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "corpus/page_spec.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace eab::core {
@@ -78,49 +79,6 @@ TEST(BatchRunner, ParallelMatchesSerialElementwise) {
   }
 }
 
-TEST(BatchRunner, MemoCacheHitsReturnIdenticalResults) {
-  const auto jobs = sweep_jobs(4);
-  BatchRunner runner(2);
-  const auto first = runner.run(jobs);
-  EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(runner.cache_misses(), jobs.size());
-  EXPECT_EQ(runner.cache_size(), jobs.size());
-
-  const auto second = runner.run(jobs);
-  EXPECT_EQ(runner.cache_hits(), jobs.size());
-  EXPECT_EQ(runner.cache_misses(), jobs.size());
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(first[i], second[i]);
-  }
-}
-
-TEST(BatchRunner, DuplicateJobsWithinBatchComputedOnce) {
-  auto jobs = sweep_jobs(2);
-  jobs.push_back(jobs[0]);  // exact duplicate of job 0
-  jobs.push_back(jobs[1]);  // exact duplicate of job 1
-  BatchRunner runner(2);
-  const auto results = runner.run(jobs);
-  EXPECT_EQ(runner.cache_misses(), 2u);  // only the distinct keys simulated
-  EXPECT_EQ(runner.cache_hits(), 2u);    // duplicates served from the batch
-  expect_identical(results[0], results[2]);
-  expect_identical(results[1], results[3]);
-}
-
-TEST(BatchRunner, ClearCacheForcesRecomputation) {
-  const auto jobs = sweep_jobs(2);
-  BatchRunner runner(2);
-  const auto first = runner.run(jobs);
-  runner.clear_cache();
-  EXPECT_EQ(runner.cache_size(), 0u);
-  const auto second = runner.run(jobs);
-  EXPECT_EQ(runner.cache_misses(), 2 * jobs.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    expect_identical(first[i], second[i]);
-  }
-}
-
 TEST(BatchRunner, EabJobsOneDegradesToSerial) {
   ASSERT_EQ(setenv("EAB_JOBS", "1", 1), 0);
   BatchRunner runner;  // resolves from the environment
@@ -151,57 +109,7 @@ TEST(BatchRunner, ResolveJobsPrecedence) {
 TEST(BatchRunner, EmptyBatchReturnsEmpty) {
   BatchRunner runner(2);
   EXPECT_TRUE(runner.run({}).empty());
-  EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(runner.cache_misses(), 0u);
-}
-
-TEST(BatchMemoKey, DistinguishesEveryKeyedInput) {
-  BatchJob base;
-  base.spec = tiny_spec(0);
-  base.config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto key = batch_memo_key(base);
-
-  auto other = base;
-  other.seed += 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.reading_window += 1.0;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.spec.html_bytes += 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.pipeline.mode = browser::PipelineMode::kEnergyAware;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.rrc.t1 += 0.5;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.force_idle_at_tx = !other.config.force_idle_at_tx;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.abort_at = 2.0;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.ril_socket_failures = 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.cache_storm_count = 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.sim_event_budget /= 2;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  EXPECT_EQ(key, batch_memo_key(base));  // and it is deterministic
+  EXPECT_TRUE(runner.last_errors().empty());
 }
 
 /// A configuration run_single_load rejects up front (stalls with no
@@ -228,7 +136,6 @@ TEST(BatchQuarantine, ThrowingJobIsIsolatedAndBatchCompletes) {
   const JobError& error = runner.last_errors()[0];
   EXPECT_EQ(error.index, 3u);
   EXPECT_NE(error.what.find("stall_rate"), std::string::npos) << error.what;
-  EXPECT_EQ(error.key_digest, fnv1a_64(batch_memo_key(jobs[3])));
   EXPECT_EQ(error.seed, 424242u);
 
   // The quarantined slot is value-initialized; every other job completed.
@@ -259,8 +166,7 @@ TEST(BatchQuarantine, SerialAndParallelQuarantinesAreIdentical) {
   ASSERT_EQ(parallel.last_errors().size(), 1u);
   EXPECT_EQ(serial.last_errors()[0].index, parallel.last_errors()[0].index);
   EXPECT_EQ(serial.last_errors()[0].what, parallel.last_errors()[0].what);
-  EXPECT_EQ(serial.last_errors()[0].key_digest,
-            parallel.last_errors()[0].key_digest);
+  EXPECT_EQ(serial.last_errors()[0].seed, parallel.last_errors()[0].seed);
   EXPECT_TRUE(serial.metrics().same_as(parallel.metrics()));
 }
 
@@ -269,13 +175,12 @@ TEST(BatchQuarantine, PoisonedKeyIsNeverCachedAndErrorsReset) {
   BatchRunner runner(1);
   runner.run(jobs);
   EXPECT_EQ(runner.last_errors().size(), 1u);
-  EXPECT_EQ(runner.cache_size(), 0u);
 
-  // Re-running retries the load (no stale cache entry) and still reports
-  // exactly one error, not an accumulated two.
+  // Re-running retries the load and still reports exactly one error, not
+  // an accumulated two.
   runner.run(jobs);
   EXPECT_EQ(runner.last_errors().size(), 1u);
-  EXPECT_EQ(runner.cache_misses(), 2u);
+  EXPECT_EQ(runner.metrics().value("batch.quarantined"), 2.0);
 
   // A healthy batch clears the quarantine list.
   runner.run(sweep_jobs(2));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
+
 namespace eab::core {
 namespace {
 
@@ -83,7 +85,8 @@ TEST(Experiment, BulkDownloadFasterThanBrowserLoad) {
   const auto spec = corpus::espn_sports_spec();
   const auto config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
   const auto load = run_single_load(spec, config);
-  const auto bulk = run_bulk_download(load.bytes_fetched, config);
+  const auto bulk =
+      ScenarioBuilder().stack(config).build().run_bulk(load.bytes_fetched);
   // Fig 4: the socket groups all transmissions; the browser spreads them.
   EXPECT_LT(bulk.duration(), load.metrics.transmission_time() * 0.7);
   EXPECT_GT(bulk.energy, 0.0);

@@ -1,40 +1,50 @@
 // ScenarioBuilder: the unified assembly path for every experiment.
 //
 // The builder must be a drop-in for the two legacy construction idioms —
-// StackConfig{} and StackConfig::for_mode — byte for byte (the memo key is
-// a canonical serialization of every StackConfig field, so key equality is
-// field-by-field equality), and its build()-time validation must reject the
-// contradictory-knob combinations that used to surface as hangs or silent
-// no-ops deep inside a run.
+// StackConfig{} and StackConfig::for_mode — field for field (StackConfig's
+// operator== is compiler-generated over every nested field), and its
+// build()-time validation must reject the contradictory-knob combinations
+// that used to surface as hangs or silent no-ops deep inside a run.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "core/batch.hpp"
 #include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 
 namespace eab::core {
 namespace {
 
-std::string key_of(const StackConfig& config) {
-  BatchJob job;
-  job.spec = corpus::m_cnn_spec();
-  job.config = config;
-  return batch_memo_key(job);
+TEST(ScenarioBuilder, DefaultsMatchDefaultStackConfig) {
+  EXPECT_EQ(ScenarioBuilder().build().stack, StackConfig{});
 }
 
-TEST(ScenarioBuilder, DefaultsMatchDefaultStackConfig) {
-  // The canonical serialization covers every StackConfig field: equal keys
-  // mean the builder reproduces the pre-builder defaults exactly.
-  EXPECT_EQ(key_of(ScenarioBuilder().build().stack), key_of(StackConfig{}));
+TEST(StackConfigEquality, EveryNestedFieldTakesPart) {
+  // The defaulted operator== compares every nested field, the metro-only
+  // handover knobs included.
+  const StackConfig base;
+  StackConfig other = base;
+  other.rrc.handover_delay += 0.1;
+  EXPECT_NE(other, base);
+  other = base;
+  other.rrc.handover_power += 0.1;
+  EXPECT_NE(other, base);
+  other = base;
+  other.pipeline.viewport.width_px += 1;
+  EXPECT_NE(other, base);
+  other = base;
+  other.outage.reestablish_fail_rate = 0.5;
+  EXPECT_NE(other, base);
+  other = base;
+  other.trace = true;
+  EXPECT_NE(other, base);
+  EXPECT_EQ(base, StackConfig{});
 }
 
 TEST(ScenarioBuilder, ModeMatchesForMode) {
   for (const auto mode : {browser::PipelineMode::kOriginal,
                           browser::PipelineMode::kEnergyAware}) {
-    EXPECT_EQ(key_of(ScenarioBuilder(mode).build().stack),
-              key_of(StackConfig::for_mode(mode)));
+    EXPECT_EQ(ScenarioBuilder(mode).build().stack, StackConfig::for_mode(mode));
   }
   // Energy-aware couples fast dormancy on; Original leaves it off.
   EXPECT_TRUE(ScenarioBuilder(browser::PipelineMode::kEnergyAware)
@@ -125,8 +135,7 @@ TEST(ScenarioBuilder, BuildSessionUnifiesRilDirective) {
                                     .build_session(SessionPolicy::kAccurate);
   EXPECT_EQ(session.policy, SessionPolicy::kAccurate);
   EXPECT_EQ(session.ril_socket_failures, 3);
-  EXPECT_EQ(key_of(session.stack),
-            key_of(ScenarioBuilder().chaos(chaos).build().stack));
+  EXPECT_EQ(session.stack, ScenarioBuilder().chaos(chaos).build().stack);
 }
 
 TEST(EnergyReport, ToJsonIsDeterministicAndExact) {

@@ -12,9 +12,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -93,6 +95,32 @@ TEST(SupervisorTest, ZeroShardsIsANoOp) {
   EXPECT_TRUE(merged.empty());
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.spawned, 0u);
+}
+
+TEST(SupervisorTest, FinishedShardDoesNotWaitOutTheHeartbeatInterval) {
+  // A worker reports its result as soon as the shard returns: the heartbeat
+  // thread wakes on stop instead of finishing a full interval's sleep.  The
+  // shard idles briefly so the heartbeat thread is already waiting when it
+  // returns.
+  SupervisorConfig config = fast_config();
+  config.workers = 1;
+  config.heartbeat_interval = 2.0;
+  Supervisor supervisor(config);
+  Merged merged;
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = supervisor.run(
+      1,
+      [](std::size_t shard) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return payload_for(shard);
+      },
+      collect_into(merged));
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(merged, expected_merge(1));
+  EXPECT_LT(elapsed, 1.0);
 }
 
 TEST(SupervisorTest, RejectsContradictoryConfigs) {

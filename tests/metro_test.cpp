@@ -359,6 +359,8 @@ TEST(MetroTest, InstantPolicyMigratesWithoutSignalling) {
 }
 
 TEST(MetroTest, UsersAtDropTargetInterpolates) {
+  // The metro bench interpolates its sweeps with the cell layer's helper.
+  using cell::users_at_drop_target;
   const std::vector<int> axis{10, 20, 30};
   EXPECT_DOUBLE_EQ(users_at_drop_target(axis, {0.0, 0.05, 0.2}, 0.05), 20.0);
   EXPECT_NEAR(users_at_drop_target(axis, {0.0, 0.02, 0.10}, 0.05), 23.75,

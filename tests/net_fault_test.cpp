@@ -2,8 +2,8 @@
 // flow cancellation, the HTTP client's watchdog/retry/backoff machine, the
 // RRC no-stuck-transfer-marker guarantee, and the end-to-end determinism
 // contract (same seed + same plan => bit-identical LoadMetrics across
-// serial, parallel and memo-replay execution; zero-fault plan => identical
-// to a stack with no plan at all).
+// serial and parallel execution; zero-fault plan => identical to a stack
+// with no plan at all).
 #include "net/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -421,12 +421,9 @@ TEST(FaultDeterminism, SerialParallelAndMemoReplayAreBitIdentical) {
   }
   core::BatchRunner runner(3);  // force a real pool
   const auto parallel = runner.run(jobs);
-  const auto replay = runner.run(jobs);  // every key a memo hit
-  EXPECT_EQ(runner.cache_hits(), jobs.size());
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(same_result(serial[i], parallel[i])) << "parallel job " << i;
-    EXPECT_TRUE(same_result(serial[i], replay[i])) << "replay job " << i;
   }
   // The faults actually bit: at least one load saw degradation or retries.
   int degraded = 0;
@@ -434,19 +431,6 @@ TEST(FaultDeterminism, SerialParallelAndMemoReplayAreBitIdentical) {
     degraded += r.failed_resources + r.truncated_resources + r.fetch_retries;
   }
   EXPECT_GT(degraded, 0);
-}
-
-TEST(FaultDeterminism, MemoKeySeparatesFaultFields) {
-  core::BatchJob a;
-  a.spec = corpus::full_benchmark()[0];
-  a.config = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  core::BatchJob b = a;
-  b.config.fault_plan.connection_loss_rate = 0.1;
-  core::BatchJob c = a;
-  c.config.retry.request_timeout = 9.0;
-  EXPECT_NE(core::batch_memo_key(a), core::batch_memo_key(b));
-  EXPECT_NE(core::batch_memo_key(a), core::batch_memo_key(c));
-  EXPECT_NE(core::batch_memo_key(b), core::batch_memo_key(c));
 }
 
 TEST(FaultDeterminism, ZeroFaultPlanMatchesNoPlanBitForBit) {

@@ -405,14 +405,20 @@ TEST(CellTelemetryTest, SupervisedSweepCarriesSeriesBitIdentically) {
   // supervised sweep, series included, byte for byte.
   const auto config = telemetry_cell(5.0);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner runner(1);
-  const auto reference = cell::run_cell_sweep(config, axis, runner);
+  const auto sweep = [&](const core::SweepExecution& exec) {
+    std::vector<cell::CellResult> results(axis.size());
+    const core::SupervisorReport report = cell::run_cell_sweep(
+        config, axis, exec,
+        [&](std::size_t i, const cell::CellResult& r) { results[i] = r; });
+    EXPECT_TRUE(report.ok()) << report.summary();
+    return results;
+  };
+  const auto reference = sweep(core::SweepExecution::serial());
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
-  const auto supervised =
-      cell::run_cell_sweep_supervised(config, axis, supervisor);
+  const auto supervised = sweep(core::SweepExecution::supervised(supervisor));
 
   ASSERT_EQ(supervised.size(), reference.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {

@@ -170,16 +170,28 @@ const std::vector<Seconds>& boundaries_for(browser::PipelineMode mode) {
   return cache.emplace(mode, std::move(times)).first->second;
 }
 
+/// Distinct boundaries boundaries_for() records in each mode.  The case
+/// list below is sized from it, and HasEveryFetchBoundary pins it, so the
+/// fixture cannot lose a boundary without a failing test.
+constexpr int kFetchBoundaries = 18;
+
+TEST(OutageFixture, HasEveryFetchBoundary) {
+  for (const browser::PipelineMode mode :
+       {browser::PipelineMode::kOriginal, browser::PipelineMode::kEnergyAware}) {
+    EXPECT_EQ(boundaries_for(mode).size(),
+              static_cast<std::size_t>(kFetchBoundaries))
+        << "mode=" << static_cast<int>(mode);
+  }
+}
+
 class OutageAtBoundary : public ::testing::TestWithParam<int> {};
 
 TEST_P(OutageAtBoundary, DegradedSessionLeavesNoResidue) {
   const int index = GetParam();
-  bool exercised = false;
   for (const browser::PipelineMode mode :
        {browser::PipelineMode::kOriginal, browser::PipelineMode::kEnergyAware}) {
     const std::vector<Seconds>& boundaries = boundaries_for(mode);
-    if (index >= static_cast<int>(boundaries.size())) continue;
-    exercised = true;
+    ASSERT_LT(static_cast<std::size_t>(index), boundaries.size());
     const Seconds hole_at = boundaries[static_cast<std::size_t>(index)];
 
     Stack stack(mode);
@@ -192,13 +204,10 @@ TEST_P(OutageAtBoundary, DegradedSessionLeavesNoResidue) {
                   static_cast<int>(mode), hole_at);
     expect_clean_teardown(stack, context);
   }
-  if (!exercised) {
-    GTEST_SKIP() << "no fetch boundary with index " << index;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryFetchBoundary, OutageAtBoundary,
-                         ::testing::Range(0, 28));
+                         ::testing::Range(0, kFetchBoundaries));
 
 /// One deterministic instant inside every RRC state and signalling phase a
 /// clean reference run visits: the midpoint of each state's first residency

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 
 namespace eab::radio {
@@ -86,7 +87,8 @@ TEST(Proxy, BundlesTheWholePageIntoOneStream) {
   const auto spec = corpus::espn_sports_spec();
   const auto config =
       core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto proxy = core::run_proxy_load(spec, config);
+  const auto proxy =
+      core::ScenarioBuilder().stack(config).build().run_proxy(spec);
   const auto direct = core::run_single_load(spec, config);
 
   // Compressed bundle: fewer bytes than the raw page.
@@ -103,8 +105,13 @@ TEST(Proxy, DeterministicAndSeedSensitive) {
   const auto spec = corpus::m_cnn_spec();
   const auto config =
       core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto a = core::run_proxy_load(spec, config, {}, 20.0, 5);
-  const auto b = core::run_proxy_load(spec, config, {}, 20.0, 5);
+  const core::Scenario scenario = core::ScenarioBuilder()
+                                      .stack(config)
+                                      .reading_window(20.0)
+                                      .seed(5)
+                                      .build();
+  const auto a = scenario.run_proxy(spec);
+  const auto b = scenario.run_proxy(spec);
   EXPECT_DOUBLE_EQ(a.energy.with_reading_j, b.energy.with_reading_j);
   EXPECT_EQ(a.bundle_bytes, b.bundle_bytes);
 }
@@ -117,8 +124,9 @@ TEST(Proxy, CompressionRatioScalesBundle) {
   heavy.compression_ratio = 0.8;
   core::ProxyConfig light;
   light.compression_ratio = 0.2;
-  const auto big = core::run_proxy_load(spec, config, heavy);
-  const auto small = core::run_proxy_load(spec, config, light);
+  const core::Scenario scenario = core::ScenarioBuilder().stack(config).build();
+  const auto big = scenario.run_proxy(spec, heavy);
+  const auto small = scenario.run_proxy(spec, light);
   EXPECT_GT(big.bundle_bytes, small.bundle_bytes * 3);
   EXPECT_GE(big.total_time, small.total_time);
 }
