@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes (TSan on the batch engine, ASan
-# on fault/cell paths, UBSan on the event engine) and a throughput gate
-# against scripts/perf_baseline.json.
+# on fault/cell paths and the JS engine, UBSan on the event engine and the
+# JS engine) and throughput gates against scripts/perf_baseline.json.
 #
 #   scripts/check.sh            # full check
 #   JOBS=8 scripts/check.sh     # pin build/test parallelism
@@ -25,12 +25,17 @@ echo "== ASan: fault-path tests under -fsanitize=address =="
 # The fault layer synthesizes partial resources and cancels in-flight
 # events/flows; ASan guards the lifetime contracts (retained partial bodies,
 # stale-callback drops, cancelled-flow teardown).
+# The JS engine's refcounted values, flat call frames and argument stack
+# get the same treatment, driven by the differential test's random programs.
 cmake -B build-asan -S . -DEAB_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
-  --target net_fault_test --target net_http_test --target web_robustness_test
+  --target net_fault_test --target net_http_test --target web_robustness_test \
+  --target web_js_test --target web_js_differential_test
 ./build-asan/tests/net_fault_test
 ./build-asan/tests/net_http_test
 ./build-asan/tests/web_robustness_test
+./build-asan/tests/web_js_test
+./build-asan/tests/web_js_differential_test
 
 echo "== chaos: seeded sweep + reproducer corpus replay =="
 # 256 seed-derived cross-layer fault scenarios (net faults, RIL failures,
@@ -220,16 +225,21 @@ cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 echo "telemetry series byte-identical across serial/sharded/supervised"
 
-echo "== UBSan: event-engine tests under -fsanitize=undefined =="
+echo "== UBSan: event-engine and JS-engine tests under -fsanitize=undefined =="
 # The pooled event engine type-erases callables into recycled slot storage
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
-# differential test's random op soup and the sharded replays.
+# differential test's random op soup and the sharded replays.  The JS engine
+# casts script numbers to indices; this build adds float-cast-overflow, so a
+# NaN, negative or huge index that reached a cast would fail here.
 cmake -B build-ubsan -S . -DEAB_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
-  --target sim_simulator_test --target sim_differential_test
+  --target sim_simulator_test --target sim_differential_test \
+  --target web_js_test --target web_js_differential_test
 ./build-ubsan/tests/sim_simulator_test
 ./build-ubsan/tests/sim_differential_test
+./build-ubsan/tests/web_js_test
+./build-ubsan/tests/web_js_differential_test
 
 echo "== perf gate: simulator throughput vs checked-in baseline =="
 # bench_throughput's serial events/s must stay within a generous margin of
@@ -243,6 +253,28 @@ floor=$(awk -v b="$baseline" 'BEGIN { printf "%.1f", b * 0.4 }')
 echo "serial events/s: actual=$actual baseline=$baseline floor=$floor"
 awk -v a="$actual" -v f="$floor" 'BEGIN { exit !(a >= f) }' || {
   echo "PERF REGRESSION: serial_events_per_sec $actual < floor $floor" >&2
+  exit 1
+}
+
+echo "== perf gate: JS interpreter ops/s and op-count checksum =="
+# bench_js_micro runs every corpus script through the interpreter alone
+# (best of 5 passes).  Its ops total is deterministic and drives simulated
+# JS time, so it must equal the recorded checksum exactly; ops/s must stay
+# above 40% of the recorded baseline, like the gate above.
+(cd build/bench && ./bench_js_micro > /dev/null)
+js_json=build/bench/BENCH_js_micro.json
+js_actual=$(grep -o '"js_ops_per_sec": [0-9.]*' "$js_json" | awk '{print $2}')
+js_baseline=$(grep -o '"js_ops_per_sec": [0-9.]*' scripts/perf_baseline.json | awk '{print $2}')
+js_floor=$(awk -v b="$js_baseline" 'BEGIN { printf "%.1f", b * 0.4 }')
+js_ops=$(grep -o '"ops_checksum": [0-9]*' "$js_json" | awk '{print $2}')
+js_ops_want=$(grep -o '"js_ops_checksum": [0-9]*' scripts/perf_baseline.json | awk '{print $2}')
+echo "js ops/s: actual=$js_actual baseline=$js_baseline floor=$js_floor; ops=$js_ops (want $js_ops_want)"
+if [ "$js_ops" != "$js_ops_want" ]; then
+  echo "OP COUNT DRIFT: bench_js_micro ran $js_ops ops, expected $js_ops_want" >&2
+  exit 1
+fi
+awk -v a="$js_actual" -v f="$js_floor" 'BEGIN { exit !(a >= f) }' || {
+  echo "PERF REGRESSION: js_ops_per_sec $js_actual < floor $js_floor" >&2
   exit 1
 }
 

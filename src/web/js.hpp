@@ -21,7 +21,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "net/resource.hpp"
@@ -52,13 +52,162 @@ struct Token {
 std::vector<Token> tokenize(std::string_view source);
 
 // ---------------------------------------------------------------------------
+// Values
+// ---------------------------------------------------------------------------
+
+class JsError : public std::runtime_error {
+ public:
+  explicit JsError(const std::string& message) : std::runtime_error(message) {}
+};
+
+struct Stmt;
+class Value;
+using Array = std::vector<Value>;
+/// Script objects: ordered keys keep printing and iteration deterministic.
+using Object = std::map<std::string, Value, std::less<>>;
+
+/// Longest array an index write may grow: `a[1e9] = 1` fails with a JsError
+/// instead of allocating a billion values.
+constexpr std::size_t kMaxArrayLength = std::size_t{1} << 20;
+
+/// Sentinels for host-provided namespace objects (document, Math, window).
+enum class HostObject : std::uint8_t { kDocument, kMath, kWindow };
+
+namespace detail {
+struct Cell {
+  std::uint32_t refs = 1;
+};
+}  // namespace detail
+
+/// A script value: a 16-byte tagged union.  Strings, arrays and objects live
+/// in reference-counted cells, so copying any value never allocates; strings
+/// are immutable once built.  The counts are not atomic: an Interpreter and
+/// every Value it hands out belong to one thread.
+class Value {
+ public:
+  enum class Type : std::uint8_t {
+    kUndefined, kNull, kBool, kNumber, kFunction, kHost,
+    kString, kArray, kObject,  // heap types last: type_ >= kString
+  };
+
+  Value() noexcept : type_(Type::kUndefined), payload_{} {}
+  Value(const Value& other) noexcept : type_(other.type_), payload_(other.payload_) {
+    if (is_heap()) ++payload_.cell->refs;
+  }
+  Value(Value&& other) noexcept : type_(other.type_), payload_(other.payload_) {
+    other.type_ = Type::kUndefined;
+  }
+  Value& operator=(const Value& other) noexcept {
+    Value copy(other);
+    swap(copy);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    Value moved(std::move(other));
+    swap(moved);
+    return *this;
+  }
+  ~Value() {
+    if (is_heap() && --payload_.cell->refs == 0) destroy();
+  }
+
+  static Value undefined() { return Value(); }
+  static Value null() { return Value(Type::kNull); }
+  static Value boolean(bool b) {
+    Value v(Type::kBool);
+    v.payload_.boolean = b;
+    return v;
+  }
+  static Value number(double d) {
+    Value v(Type::kNumber);
+    v.payload_.number = d;
+    return v;
+  }
+  static Value string(std::string text);
+  static Value array(Array items = {});
+  static Value object();
+  static Value function(const Stmt* fn) {
+    Value v(Type::kFunction);
+    v.payload_.function = fn;
+    return v;
+  }
+  static Value host(HostObject h) {
+    Value v(Type::kHost);
+    v.payload_.host = h;
+    return v;
+  }
+
+  Type type() const { return type_; }
+  bool is_undefined() const { return type_ == Type::kUndefined; }
+  bool is_string() const { return type_ == Type::kString; }
+  bool is_number() const { return type_ == Type::kNumber; }
+
+  // Unchecked accessors: the caller has tested type() first.
+  double as_number() const { return payload_.number; }
+  const Stmt* as_function() const { return payload_.function; }
+  HostObject as_host() const { return payload_.host; }
+  const std::string& as_string() const;
+  Array& as_array() const;
+  Object& as_object() const;
+
+  bool truthy() const;
+  double to_number() const;
+  std::string to_string() const;
+
+ private:
+  union Payload {
+    double number;
+    bool boolean;
+    const Stmt* function;
+    HostObject host;
+    detail::Cell* cell;
+  };
+
+  explicit Value(Type type) : type_(type), payload_{} {}
+  bool is_heap() const { return type_ >= Type::kString; }
+  void swap(Value& other) noexcept {
+    std::swap(type_, other.type_);
+    std::swap(payload_, other.payload_);
+  }
+  void destroy();
+
+  Type type_;
+  Payload payload_;
+};
+
+// ---------------------------------------------------------------------------
 // AST
 // ---------------------------------------------------------------------------
 
 struct Expr;
-struct Stmt;
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
+
+/// What an expression node does, decoded once by the interpreter's resolve
+/// pass (operators from `Expr::text`, the rest from `Expr::kind`), so the
+/// evaluator dispatches on one small code and never compares strings.
+enum class Op : std::uint8_t {
+  kNone,                                   // not resolved yet
+  kLiteral, kVariable,                     // leaves
+  kAdd, kSub, kMul, kDiv, kMod,            // binary arithmetic
+  kEq, kNe, kLt, kGt, kLe, kGe,            // comparison
+  kAnd, kOr,                               // short-circuit logic
+  kNot, kNeg, kTypeof,                     // unary
+  kSet, kAddSet, kSubSet, kMulSet, kDivSet,  // assignment
+  kArray, kObject, kCall, kMember, kIndex,
+};
+
+/// Names the evaluator treats specially, tagged by the resolve pass:
+/// host objects, global builtins, host methods and host-aware members.
+enum class Name : std::uint8_t {
+  kOther,
+  kDocument, kMath, kWindow,  // identifiers that name host objects
+  kLoadImage, kLoadScript, kLoadCss, kFetchData, kIndexOf, kSubstring,
+  kCharAt, kSplit, kStr, kLen, kPush,  // global builtins
+  kWrite, kWriteln,                   // document methods
+  kFloor, kCeil, kAbs, kSqrt, kMax, kMin, kRandom,  // Math methods
+  kLength, kPi,                       // members
+};
 
 struct Expr {
   enum class Kind {
@@ -82,6 +231,14 @@ struct Expr {
   bool boolean = false;
   std::string text;  ///< identifier / string value / operator / member name
   std::vector<ExprPtr> operands;
+  int height = 1;  ///< levels in this subtree; parse() keeps it <= kMaxNesting
+
+  // Filled in by Interpreter's resolve pass; parse() leaves the defaults.
+  Op op = Op::kNone;
+  Name name = Name::kOther;
+  std::uint32_t symbol = 0;       ///< kIdentifier: interned name
+  Value constant;                 ///< literal kinds: the value itself
+  std::vector<std::string> keys;  ///< kObject: keys split from `text`
 };
 
 struct Stmt {
@@ -103,6 +260,10 @@ struct Stmt {
   std::vector<std::string> params;
   std::vector<ExprPtr> exprs;
   std::vector<StmtPtr> stmts;
+
+  // Filled in by Interpreter's resolve pass.
+  std::uint32_t symbol = 0;                  ///< kVarDecl / kFunction name
+  std::vector<std::uint32_t> param_symbols;  ///< kFunction params
 };
 
 /// A parsed program.
@@ -110,53 +271,21 @@ struct Program {
   std::vector<StmtPtr> statements;
 };
 
-/// Parses a script. Throws JsError with a source offset on syntax errors.
+/// Deepest nesting parse() accepts, checked twice: the parser's own
+/// recursion (each statement, assignment, unary operator and primary entered
+/// counts one level, so `((1))` costs six) and the height of every
+/// expression tree (`1+1+...+1` is built by a loop but is as deep as it is
+/// long).  The evaluator recurses along the AST, so its stack use per call
+/// frame is bounded too.  Corpus scripts need about ten levels.
+constexpr int kMaxNesting = 100;
+
+/// Parses a script. Throws JsError with a source offset on syntax errors,
+/// including "nesting too deep" past kMaxNesting.
 Program parse(std::string_view source);
 
 // ---------------------------------------------------------------------------
-// Values and runtime
+// Runtime
 // ---------------------------------------------------------------------------
-
-class JsError : public std::runtime_error {
- public:
-  explicit JsError(const std::string& message) : std::runtime_error(message) {}
-};
-
-struct Value;
-using Array = std::vector<Value>;
-/// Script objects: ordered keys keep printing and iteration deterministic.
-using Object = std::map<std::string, Value>;
-
-/// Sentinels for host-provided namespace objects (document, Math, window).
-enum class HostObject { kDocument, kMath, kWindow };
-
-struct Value {
-  using Storage = std::variant<std::monostate,           // undefined
-                               std::nullptr_t,           // null
-                               bool, double, std::string,
-                               std::shared_ptr<Array>,   // array
-                               std::shared_ptr<Object>,  // object literal
-                               const Stmt*,              // script function
-                               HostObject>;
-  Storage storage;
-
-  Value() = default;
-  static Value undefined() { return Value(); }
-  static Value null() { return make(nullptr); }
-  static Value make(Storage s) {
-    Value v;
-    v.storage = std::move(s);
-    return v;
-  }
-
-  bool is_undefined() const { return std::holds_alternative<std::monostate>(storage); }
-  bool is_string() const { return std::holds_alternative<std::string>(storage); }
-  bool is_number() const { return std::holds_alternative<double>(storage); }
-
-  bool truthy() const;
-  double to_number() const;
-  std::string to_string() const;
-};
 
 /// The environment a script can observe and act on.
 class JsHost {
@@ -180,9 +309,16 @@ struct RunResult {
 
 /// Tree-walking interpreter with a persistent global scope, so consecutive
 /// scripts on one page share state exactly as the paper requires.
+///
+/// Each script is parsed, then resolved once: operators and well-known
+/// names become enums and every identifier an interned symbol id.  Globals
+/// live in a vector indexed by symbol id; call frames are flat (symbol,
+/// value) lists searched innermost first, which keeps the language's dynamic
+/// scope (a function sees its callers' locals) without string hashing.
 class Interpreter {
  public:
   explicit Interpreter(JsHost& host, std::uint64_t op_budget = 50'000'000);
+  ~Interpreter();
 
   /// Parses and runs a script in the page's global context. Runtime errors
   /// and budget exhaustion are reported in the result, not thrown: a broken
@@ -195,11 +331,26 @@ class Interpreter {
   /// Reads a global variable (tests / diagnostics).
   Value global(const std::string& name) const;
 
+  /// Names of every global a script has set, sorted (tests / diagnostics).
+  std::vector<std::string> global_names() const;
+
  private:
+  class Evaluator;
+  class Resolver;
+
+  struct Global {
+    Value value;
+    bool defined = false;  ///< set once a script declares or assigns it
+  };
+
+  std::uint32_t intern(const std::string& name);
+
   JsHost& host_;
   std::uint64_t op_budget_;
   std::uint64_t total_ops_ = 0;
-  std::unordered_map<std::string, Value> globals_;
+  std::unordered_map<std::string, std::uint32_t> symbols_;
+  std::vector<std::string> names_;  ///< symbol id -> name
+  std::vector<Global> globals_;     ///< indexed by symbol id
   /// Function declarations stay alive across scripts.
   std::vector<std::shared_ptr<Program>> retained_programs_;
 };

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "web/js.hpp"
 
 namespace eab::web::js {
@@ -24,6 +26,31 @@ class Parser {
   [[noreturn]] void error(const std::string& what) const {
     throw JsError("parse error: " + what + " at offset " +
                   std::to_string(peek().offset));
+  }
+
+  /// Holds one level of parser recursion for its scope.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ >= kMaxNesting) parser_.error("nesting too deep");
+      ++parser_.depth_;
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  /// Sets a freshly built node's height from its operands and enforces the
+  /// nesting limit on the tree.
+  ExprPtr seal(ExprPtr node) const {
+    for (const auto& operand : node->operands) {
+      node->height = std::max(node->height, operand->height + 1);
+    }
+    if (node->height > kMaxNesting) error("nesting too deep");
+    return node;
   }
 
   bool check_punct(std::string_view text) const {
@@ -53,6 +80,7 @@ class Parser {
   // --- statements ---
 
   StmtPtr statement() {
+    Nest nest(*this);
     if (check_keyword("var")) return var_decl(/*consume_semicolon=*/true);
     if (match_keyword("function")) return function_decl();
     if (match_keyword("if")) return if_stmt();
@@ -203,6 +231,7 @@ class Parser {
   ExprPtr expression() { return assignment(); }
 
   ExprPtr assignment() {
+    Nest nest(*this);
     ExprPtr lhs = logical_or();
     for (std::string_view op : {"=", "+=", "-=", "*=", "/="}) {
       if (check_punct(op)) {
@@ -217,7 +246,7 @@ class Parser {
         node->text = std::string(op);
         node->operands.push_back(std::move(lhs));
         node->operands.push_back(assignment());
-        return node;
+        return seal(std::move(node));
       }
     }
     return lhs;
@@ -236,7 +265,7 @@ class Parser {
           node->text = std::string(op);
           node->operands.push_back(std::move(lhs));
           node->operands.push_back((this->*next)());
-          lhs = std::move(node);
+          lhs = seal(std::move(node));
           matched = true;
           break;
         }
@@ -257,12 +286,13 @@ class Parser {
   }
 
   ExprPtr unary() {
+    Nest nest(*this);
     if (match_keyword("typeof")) {
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kUnary;
       node->text = "typeof";
       node->operands.push_back(unary());
-      return node;
+      return seal(std::move(node));
     }
     for (std::string_view op : {"!", "-"}) {
       if (check_punct(op)) {
@@ -271,7 +301,7 @@ class Parser {
         node->kind = Expr::Kind::kUnary;
         node->text = std::string(op);
         node->operands.push_back(unary());
-        return node;
+        return seal(std::move(node));
       }
     }
     // Prefix ++/-- desugar to (x = x + 1).
@@ -294,7 +324,7 @@ class Parser {
     node->text = std::string(op);
     node->operands.push_back(std::move(target));
     node->operands.push_back(std::move(one));
-    return node;
+    return seal(std::move(node));
   }
 
   ExprPtr postfix() {
@@ -305,7 +335,7 @@ class Parser {
         member->kind = Expr::Kind::kMember;
         member->text = expect_identifier();
         member->operands.push_back(std::move(node));
-        node = std::move(member);
+        node = seal(std::move(member));
         continue;
       }
       if (check_punct("(")) {
@@ -319,7 +349,7 @@ class Parser {
           } while (match_punct(","));
         }
         expect_punct(")");
-        node = std::move(call);
+        node = seal(std::move(call));
         continue;
       }
       if (match_punct("[")) {
@@ -328,7 +358,7 @@ class Parser {
         index->operands.push_back(std::move(node));
         index->operands.push_back(expression());
         expect_punct("]");
-        node = std::move(index);
+        node = seal(std::move(index));
         continue;
       }
       // Postfix ++/-- (statement use only; value semantics simplified).
@@ -342,6 +372,7 @@ class Parser {
   }
 
   ExprPtr primary() {
+    Nest nest(*this);
     const Token& token = peek();
     switch (token.type) {
       case TokenType::kNumber: {
@@ -397,7 +428,7 @@ class Parser {
             } while (match_punct(","));
           }
           expect_punct("]");
-          return node;
+          return seal(std::move(node));
         }
         if (match_punct("{")) {
           // Object literal: keys are identifiers, strings or keywords-as-
@@ -421,7 +452,7 @@ class Parser {
             } while (match_punct(","));
           }
           expect_punct("}");
-          return node;
+          return seal(std::move(node));
         }
         error("unexpected token '" + token.text + "'");
       }
@@ -433,6 +464,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< live Nest guards
 };
 
 }  // namespace

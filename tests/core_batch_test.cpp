@@ -170,7 +170,7 @@ TEST(BatchQuarantine, SerialAndParallelQuarantinesAreIdentical) {
   EXPECT_TRUE(serial.metrics().same_as(parallel.metrics()));
 }
 
-TEST(BatchQuarantine, PoisonedKeyIsNeverCachedAndErrorsReset) {
+TEST(BatchQuarantine, RetryAfterQuarantineResetsErrors) {
   const std::vector<BatchJob> jobs = {poisoned_job()};
   BatchRunner runner(1);
   runner.run(jobs);

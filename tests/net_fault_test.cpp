@@ -400,7 +400,7 @@ bool same_result(const core::SingleLoadResult& a,
          a.dom_signature == b.dom_signature;
 }
 
-TEST(FaultDeterminism, SerialParallelAndMemoReplayAreBitIdentical) {
+TEST(FaultDeterminism, SerialAndParallelAreBitIdentical) {
   const auto specs = corpus::full_benchmark();
   ASSERT_GE(specs.size(), 2u);
   std::vector<core::BatchJob> jobs;

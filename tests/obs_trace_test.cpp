@@ -363,7 +363,7 @@ TEST(Batch, SerialAndParallelProduceIdenticalObservability) {
   }
 }
 
-TEST(Batch, TraceFlagIsPartOfMemoKey) {
+TEST(Batch, TracedAndUntracedRunsAgree) {
   core::BatchJob traced;
   traced.spec = tiny_spec(0);
   traced.config = traced_config(browser::PipelineMode::kEnergyAware);

@@ -389,6 +389,123 @@ TEST_F(JsFixture, TypeofObjectAndToString) {
   EXPECT_EQ(interp.global("s").to_string(), "[object Object]");
 }
 
+TEST(JsParser, NestingBeyondTheLimitIsAParseError) {
+  const auto nested = [](int depth, const std::string& open,
+                         const std::string& inner, const std::string& close) {
+    std::string source;
+    for (int i = 0; i < depth; ++i) source += open;
+    source += inner;
+    for (int i = 0; i < depth; ++i) source += close;
+    return source;
+  };
+  const auto chain = [](int links, const std::string& head,
+                        const std::string& link) {
+    std::string source = head;
+    for (int i = 0; i < links; ++i) source += link;
+    return source;
+  };
+  // Each form once well inside the limit, once far past it.  Binary and
+  // postfix chains are built by loops, but the tree they build is as deep
+  // as they are long.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"var x = " + nested(10, "(", "1", ")") + ";",
+       "var x = " + nested(5000, "(", "1", ")") + ";"},
+      {nested(10, "{", "x = 1;", "}"), nested(5000, "{", "x = 1;", "}")},
+      {"var x = " + nested(10, "!", "1", "") + ";",
+       "var x = " + nested(5000, "!", "1", "") + ";"},
+      {"var x = " + nested(10, "[", "1", "]") + ";",
+       "var x = " + nested(5000, "[", "1", "]") + ";"},
+      {chain(10, "var x = 1", " + 1") + ";", chain(5000, "var x = 1", " + 1") + ";"},
+      {chain(10, "x", ".y") + ";", chain(5000, "x", ".y") + ";"},
+      {chain(10, "x", "[0]") + ";", chain(5000, "x", "[0]") + ";"},
+      {chain(10, "x", " = x") + ";", chain(5000, "x", " = x") + ";"},
+      {nested(10, "if (1) ", "x = 1;", ""), nested(5000, "if (1) ", "x = 1;", "")},
+  };
+  for (const auto& [shallow, deep] : cases) {
+    EXPECT_NO_THROW(parse(shallow)) << shallow;
+    try {
+      parse(deep);
+      ADD_FAILURE() << "expected a nesting error for " << deep.substr(0, 40);
+    } catch (const JsError& e) {
+      EXPECT_NE(std::string(e.what()).find("parse error: nesting too deep at offset "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsParser, NestingLimitIsExact) {
+  // `x = !...!1` nests the statement, two assignments (`=` recurses), one
+  // unary level per `!`, one more unary and the primary `1`: n + 5 levels.
+  const auto bangs = [](int n) { return "x = " + std::string(n, '!') + "1;"; };
+  EXPECT_NO_THROW(parse(bangs(kMaxNesting - 5)));
+  EXPECT_THROW(parse(bangs(kMaxNesting - 4)), JsError);
+}
+
+TEST(JsInterpreter, DeepScriptIsReportedNotCrashed) {
+  RecordingHost host;
+  Interpreter interp(host);
+  // A corpus-file-sized script of nested parentheses.
+  std::string source = "var x = ";
+  for (int i = 0; i < 5000; ++i) source += "(";
+  source += "1";
+  for (int i = 0; i < 5000; ++i) source += ")";
+  source += ";";
+  const RunResult result = interp.run(source);
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.error.find("nesting too deep"), std::string::npos);
+  EXPECT_EQ(result.ops, 0u);
+  EXPECT_TRUE(interp.run("var y = 2;").completed);  // the page carries on
+}
+
+TEST_F(JsFixture, OutOfRangeIndicesReadAsMissing) {
+  interp.run(
+      "var a = [1, 2]; var neg = a[0 - 1]; var nan = a[0 / 0]; var inf = a[1 / 0];"
+      "var frac = a[1.9]; var s = 'abc'; var sneg = s[0 - 1];"
+      "var c1 = charAt('abc', 0 - 1); var c2 = charAt('abc', 0 / 0);"
+      "var c3 = charAt('abc', 1 / 0); var c4 = charAt('abc', 2.5);"
+      "var u1 = substring('abcdef', 0 - 5, 2); var u2 = substring('abcdef', 4, 0 - 1);"
+      "var u3 = substring('abcdef', 1, 1 / 0); var u4 = substring('abcdef', 0 / 0, 3);"
+      "var u5 = substring('abcdef', 1 / 0);");
+  EXPECT_TRUE(interp.global("neg").is_undefined());
+  EXPECT_TRUE(interp.global("nan").is_undefined());
+  EXPECT_TRUE(interp.global("inf").is_undefined());
+  EXPECT_DOUBLE_EQ(interp.global("frac").to_number(), 2);
+  EXPECT_TRUE(interp.global("sneg").is_undefined());
+  EXPECT_EQ(interp.global("c1").to_string(), "");
+  EXPECT_EQ(interp.global("c2").to_string(), "");
+  EXPECT_EQ(interp.global("c3").to_string(), "");
+  EXPECT_EQ(interp.global("c4").to_string(), "c");
+  EXPECT_EQ(interp.global("u1").to_string(), "ab");
+  EXPECT_EQ(interp.global("u2").to_string(), "");
+  EXPECT_EQ(interp.global("u3").to_string(), "bcdef");
+  EXPECT_EQ(interp.global("u4").to_string(), "abc");
+  EXPECT_EQ(interp.global("u5").to_string(), "");
+}
+
+TEST_F(JsFixture, IndexWritesStopAtTheGrowthCap) {
+  const RunResult huge = interp.run("var a = []; a[1000000000] = 1;");
+  EXPECT_FALSE(huge.completed);
+  EXPECT_EQ(huge.error, "array index out of range");
+  EXPECT_FALSE(interp.run("var b = []; b[0 - 1] = 1;").completed);
+  EXPECT_FALSE(interp.run("var c = []; c[0 / 0] = 1;").completed);
+  // Just under the cap is fine; writes inside the array always are.
+  const RunResult edge = interp.run(
+      "var d = []; d[" + std::to_string(kMaxArrayLength - 1) + "] = 7;"
+      "var n = len(d); d[3] = 1;");
+  EXPECT_TRUE(edge.completed) << edge.error;
+  EXPECT_DOUBLE_EQ(interp.global("n").to_number(),
+                   static_cast<double>(kMaxArrayLength));
+  EXPECT_FALSE(
+      interp.run("d[" + std::to_string(kMaxArrayLength) + "] = 1;").completed);
+}
+
+TEST_F(JsFixture, GlobalNamesListsWhatScriptsSet) {
+  interp.run("var b = 1; a = 2; function f(x) { var local = x; implicit = x; } f(3);");
+  EXPECT_EQ(interp.global_names(),
+            (std::vector<std::string>{"a", "b", "f", "implicit"}));
+}
+
 TEST_F(JsFixture, SetPropertyOnNonObjectFails) {
   const RunResult result = interp.run("var n = 5; n.x = 1;");
   EXPECT_FALSE(result.completed);

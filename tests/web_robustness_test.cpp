@@ -6,6 +6,8 @@
 // produce a usable (possibly empty) result.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "browser/text_render.hpp"
 #include "net/fault.hpp"
 #include "net/http_client.hpp"
@@ -139,6 +141,63 @@ TEST_P(JsFuzz, GarbageIsReportedNeverThrown) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsFuzz, ::testing::Values(100, 200, 300));
+
+/// Wraps `core` in `depth` random nesting layers: parentheses, unary
+/// operators, array literals, blocks and binary-chain links.
+std::string random_nesting(Rng& rng, int depth, std::string core) {
+  for (int i = 0; i < depth; ++i) {
+    switch (rng.uniform_index(5)) {
+      case 0: core = "(" + core + ")"; break;
+      case 1: core = "!" + core; break;
+      case 2: core = "[" + core + "]"; break;
+      case 3: core = core + " + 1"; break;
+      default: core = "- " + core; break;  // "--" would lex as decrement
+    }
+  }
+  return core;
+}
+
+TEST_P(JsFuzz, DeepNestingIsReportedNeverCrashes) {
+  Rng rng(GetParam());
+  NullHost host;
+  js::Interpreter interp(host, 100'000);
+  for (int round = 0; round < 40; ++round) {
+    // Depths from well inside the nesting limit to far past it.
+    const int depth = static_cast<int>(rng.uniform_index(3 * js::kMaxNesting));
+    const std::string source =
+        "var x = " + random_nesting(rng, depth, "1") + ";";
+    js::RunResult result;
+    ASSERT_NO_THROW(result = interp.run(source));
+    if (!result.completed) {
+      EXPECT_NE(result.error.find("nesting too deep"), std::string::npos)
+          << result.error;
+    }
+  }
+}
+
+TEST(JsDepth, RecursionThroughMaximalNestingStaysOnTheStack) {
+  // Every call frame of this recursion sits under as much expression
+  // nesting as the parser allows, on a worker thread's stack: the worst
+  // case the nesting limit and the call-depth limit leave.  The engine must
+  // report the call-stack overflow, not crash.
+  const int levels = js::kMaxNesting - 10;
+  std::string unary_chain(static_cast<std::size_t>(levels), '!');
+  std::string binary_chain = "f(n + 1)";
+  for (int i = 0; i < levels; ++i) binary_chain += " + 1";
+  for (const std::string& body : {unary_chain + "f(n + 1)", binary_chain}) {
+    const std::string source =
+        "function f(n) { return " + body + "; } var r = f(0);";
+    js::RunResult result;
+    std::thread worker([&] {
+      NullHost host;
+      js::Interpreter interp(host);
+      result = interp.run(source);
+    });
+    worker.join();
+    EXPECT_FALSE(result.completed);
+    EXPECT_EQ(result.error, "call stack overflow");
+  }
+}
 
 // --- network-layer truncation -------------------------------------------------
 //
