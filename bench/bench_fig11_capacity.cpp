@@ -93,7 +93,6 @@ void report(const std::string& label, const std::vector<corpus::PageSpec>& specs
 /// co-simulation finishes in bench time; the qualitative Fig 11 shape —
 /// monotone drop curve, energy-aware above Original in admitted users —
 /// does not depend on the pool being 200 channels wide.
-int g_cell_shards = 1;  // EAB_CELL_SHARDS; any value is bit-identical to 1
 Seconds g_telemetry_tick = 0;         // EAB_TELEMETRY / EAB_TELEMETRY_TICK
 std::size_t g_telemetry_budget = 256; // EAB_TELEMETRY_BUDGET
 
@@ -121,7 +120,6 @@ cell::CellConfig cell_config(browser::PipelineMode mode,
   config.channels = params.channels;
   config.horizon = params.horizon;
   config.cell_seed = params.seed;
-  config.sim_shards = g_cell_shards;
   config.telemetry_tick = g_telemetry_tick;
   config.telemetry_budget = g_telemetry_budget;
   config.cell_outage_count = params.cell_outage_count;
@@ -147,9 +145,6 @@ int run_cell_mode() {
   params.seed = bench::knobs().u64_or("EAB_CELL_SEED", params.seed);
   params.max_users = static_cast<int>(bench::knobs().u64_or(
       "EAB_CELL_USERS", static_cast<std::uint64_t>(params.max_users)));
-  // Event-queue shards per cell simulator (perf-only: the sharded merge is
-  // bit-identical to the single-queue engine for every value).
-  g_cell_shards = static_cast<int>(bench::knobs().u64_or("EAB_CELL_SHARDS", 1));
   // Telemetry knobs are parsed strictly even when sampling stays off, so a
   // typo'd EAB_TELEMETRY_TICK dies loudly instead of silently idling.
   g_telemetry_budget = bench::telemetry_budget_from_env();
@@ -190,10 +185,7 @@ int run_cell_mode() {
               "mobile benchmark, seed %llu\n",
               params.channels, params.horizon,
               static_cast<unsigned long long>(params.seed));
-  if (g_cell_shards != 1) {  // default output stays byte-identical
-    std::printf("cell: %d event-queue shards\n", g_cell_shards);
-  }
-  if (g_telemetry_tick > 0) {  // likewise: silent unless sampling is on
+  if (g_telemetry_tick > 0) {  // default output stays byte-identical
     std::printf("cell: telemetry tick %.0f s, budget %zu points\n",
                 g_telemetry_tick, g_telemetry_budget);
   }
@@ -225,10 +217,9 @@ int run_cell_mode() {
   if (bench::supervise_enabled()) {
     std::string fingerprint = "fig11-cell v1";
     bench::appendf(fingerprint,
-                   " seed=%llu channels=%d horizon=%.17g shards=%d target=%.17g",
+                   " seed=%llu channels=%d horizon=%.17g target=%.17g",
                    static_cast<unsigned long long>(params.seed),
-                   params.channels, params.horizon, g_cell_shards,
-                   params.target);
+                   params.channels, params.horizon, params.target);
     if (g_telemetry_tick > 0) {
       // Only when sampling is on: a telemetry-off supervised run keeps the
       // exact pre-telemetry fingerprint, so its journals stay resumable.
@@ -458,9 +449,9 @@ int main(int argc, char** argv) {
           argc, argv, "bench_fig11_capacity [--cell]",
           "network capacity: drop probability vs users (--cell runs the "
           "first-principles shared-cell co-simulation)",
-          {"EAB_CELL_SEED", "EAB_CELL_USERS", "EAB_CELL_SHARDS",
-           "EAB_CELL_OUTAGE_COUNT", "EAB_CELL_OUTAGE_START",
-           "EAB_CELL_OUTAGE_PERIOD", "EAB_CELL_OUTAGE_DURATION",
+          {"EAB_CELL_SEED", "EAB_CELL_USERS", "EAB_CELL_OUTAGE_COUNT",
+           "EAB_CELL_OUTAGE_START", "EAB_CELL_OUTAGE_PERIOD",
+           "EAB_CELL_OUTAGE_DURATION",
            "EAB_OUTAGE_COUNT", "EAB_OUTAGE_START", "EAB_OUTAGE_PERIOD",
            "EAB_OUTAGE_DURATION", "EAB_OUTAGE_FAIL_RATE", "EAB_OUTAGE_SEED",
            "EAB_TELEMETRY", "EAB_TELEMETRY_TICK", "EAB_TELEMETRY_BUDGET",

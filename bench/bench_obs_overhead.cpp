@@ -1,6 +1,10 @@
 // Measures what observability costs: the 64-load batch sweep from
-// bench_throughput run untraced and traced, best-of-N wall clock each, plus
-// a 16-UE cell run with telemetry sampling off and on.
+// bench_throughput run untraced and traced, plus a 16-UE cell run with
+// telemetry sampling off and on.  Each overhead is measured over kReps
+// back-to-back pairs of reps, one rep per side; a rep repeats its workload
+// until kRepFloorSeconds have passed and reports seconds per run.  The
+// overhead is the median of the per-pair ratios, so neither a short window
+// nor drift of the machine's speed between pairs decides it.
 //
 // The cost contract (obs/trace.hpp) is that a disabled recorder is one
 // predicted-not-taken branch per site and an enabled one only appends to a
@@ -48,19 +52,62 @@ std::vector<core::BatchJob> make_sweep(bool traced) {
   return jobs;
 }
 
-/// Best-of-`reps` wall clock for one run of `jobs` (a fresh runner per
-/// repetition, so no metrics carry over between repeats).
-double best_wall(const std::vector<core::BatchJob>& jobs, int reps,
-                 std::vector<core::SingleLoadResult>* out) {
-  double best = 1e9;
-  for (int rep = 0; rep < reps; ++rep) {
-    core::BatchRunner runner;
-    const auto start = Clock::now();
-    auto results = runner.run(jobs);
-    best = std::min(best, seconds_since(start));
-    if (out != nullptr && rep == 0) *out = std::move(results);
+constexpr int kReps = 7;
+constexpr double kRepFloorSeconds = 0.5;
+
+/// Wall seconds per call of `run`, which is called until kRepFloorSeconds
+/// have passed.
+template <typename Run>
+double seconds_per_run(const Run& run) {
+  const auto start = Clock::now();
+  int runs = 0;
+  double elapsed = 0;
+  do {
+    run();
+    ++runs;
+    elapsed = seconds_since(start);
+  } while (elapsed < kRepFloorSeconds);
+  return elapsed / runs;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+struct Overhead {
+  double off_s = 0;     ///< median seconds per run, feature off
+  double on_s = 0;      ///< median seconds per run, feature on
+  double overhead = 0;  ///< median over pairs of on/off, minus 1
+};
+
+/// Times kReps pairs of reps of `off` and `on`; which side goes first
+/// alternates from pair to pair.
+template <typename Off, typename On>
+Overhead measure_overhead(const Off& off, const On& on) {
+  std::vector<double> off_s, on_s, ratios;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double a = 0, b = 0;
+    if (rep % 2 == 0) {
+      a = seconds_per_run(off);
+      b = seconds_per_run(on);
+    } else {
+      b = seconds_per_run(on);
+      a = seconds_per_run(off);
+    }
+    off_s.push_back(a);
+    on_s.push_back(b);
+    ratios.push_back(b / a);
   }
-  return best;
+  return {median(off_s), median(on_s), median(ratios) - 1.0};
+}
+
+/// One run of `jobs` on a fresh runner, so no metrics carry over between
+/// runs.
+std::vector<core::SingleLoadResult> run_sweep(
+    const std::vector<core::BatchJob>& jobs) {
+  core::BatchRunner runner;
+  return runner.run(jobs);
 }
 
 /// The telemetry measurement vehicle: one 16-UE cell, 600 s horizon.
@@ -75,18 +122,6 @@ cell::CellConfig overhead_cell_config(Seconds telemetry_tick) {
   config.cell_seed = 5;
   config.telemetry_tick = telemetry_tick;
   return config;
-}
-
-double best_cell_wall(const cell::CellConfig& config, int reps,
-                      cell::CellResult* out) {
-  double best = 1e9;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto start = Clock::now();
-    auto result = cell::run_cell(config);
-    best = std::min(best, seconds_since(start));
-    if (out != nullptr && rep == 0) *out = std::move(result);
-  }
-  return best;
 }
 
 /// The telemetry identity: sampling must not bend the workload trajectory.
@@ -117,13 +152,14 @@ int main(int argc, char** argv) {
   }
   bench::print_header("Obs overhead", "tracing cost on the 64-load batch sweep");
 
-  const int kReps = 3;
   const auto untraced_jobs = make_sweep(false);
   const auto traced_jobs = make_sweep(true);
 
-  std::vector<core::SingleLoadResult> untraced, traced;
-  const double untraced_s = best_wall(untraced_jobs, kReps, &untraced);
-  const double traced_s = best_wall(traced_jobs, kReps, &traced);
+  const std::vector<core::SingleLoadResult> untraced = run_sweep(untraced_jobs);
+  const std::vector<core::SingleLoadResult> traced = run_sweep(traced_jobs);
+  const Overhead tracing =
+      measure_overhead([&] { run_sweep(untraced_jobs); },
+                       [&] { run_sweep(traced_jobs); });
 
   // The identity the whole subsystem stands on: tracing changes nothing.
   bool identical = untraced.size() == traced.size();
@@ -150,16 +186,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double overhead = untraced_s > 0 ? traced_s / untraced_s - 1.0 : 0;
   double trace_events = 0;
   for (const auto& t : traced) {
     trace_events += static_cast<double>(t.trace->size());
   }
 
-  std::printf("loads: %zu  reps: %d (best-of)\n", untraced_jobs.size(), kReps);
+  std::printf("loads: %zu  reps: %d (paired, median)\n",
+              untraced_jobs.size(), kReps);
   std::printf("untraced: %.3f s   traced: %.3f s   overhead: %+.2f%% "
               "(budget 5%%)\n",
-              untraced_s, traced_s, overhead * 100.0);
+              tracing.off_s, tracing.on_s, tracing.overhead * 100.0);
   std::printf("trace events recorded: %.0f (%.0f per load)\n", trace_events,
               trace_events / static_cast<double>(traced.size()));
   std::printf("results bit-identical traced vs untraced: %s   audits: %s\n",
@@ -167,19 +203,19 @@ int main(int argc, char** argv) {
               audit_failures == 0 ? "all passed" : "FAILED");
 
   // Phase 2: telemetry sampling on the cell co-simulation.
-  cell::CellResult plain, sampled;
-  const double plain_s =
-      best_cell_wall(overhead_cell_config(0), kReps, &plain);
-  const double sampled_s =
-      best_cell_wall(overhead_cell_config(5.0), kReps, &sampled);
+  const cell::CellConfig plain_config = overhead_cell_config(0);
+  const cell::CellConfig sampled_config = overhead_cell_config(5.0);
+  const cell::CellResult plain = cell::run_cell(plain_config);
+  const cell::CellResult sampled = cell::run_cell(sampled_config);
+  const Overhead sampling =
+      measure_overhead([&] { cell::run_cell(plain_config); },
+                       [&] { cell::run_cell(sampled_config); });
   const bool cell_identical = same_workload(plain, sampled) &&
                               plain.telemetry == nullptr &&
                               sampled.telemetry != nullptr;
-  const double sampling_overhead =
-      plain_s > 0 ? sampled_s / plain_s - 1.0 : 0;
   std::printf("\ncell (16 UEs, 600 s): unsampled %.3f s   sampled %.3f s   "
               "overhead: %+.2f%% (budget 5%%)\n",
-              plain_s, sampled_s, sampling_overhead * 100.0);
+              sampling.off_s, sampling.on_s, sampling.overhead * 100.0);
   std::printf("telemetry series recorded: %zu\n",
               sampled.telemetry ? sampled.telemetry->series_count() : 0);
   std::printf("workload identical sampled vs unsampled: %s\n",
@@ -205,11 +241,11 @@ int main(int argc, char** argv) {
                  "  \"telemetry_series\": %zu,\n"
                  "  \"cell_workload_identical\": %s\n"
                  "}\n",
-                 untraced_jobs.size(), kReps, untraced_s, traced_s, overhead,
-                 overhead <= 0.05 ? "true" : "false", trace_events,
-                 identical ? "true" : "false", audit_failures, plain_s,
-                 sampled_s, sampling_overhead,
-                 sampling_overhead <= 0.05 ? "true" : "false",
+                 untraced_jobs.size(), kReps, tracing.off_s, tracing.on_s,
+                 tracing.overhead, tracing.overhead <= 0.05 ? "true" : "false",
+                 trace_events, identical ? "true" : "false", audit_failures,
+                 sampling.off_s, sampling.on_s, sampling.overhead,
+                 sampling.overhead <= 0.05 ? "true" : "false",
                  sampled.telemetry ? sampled.telemetry->series_count() : 0,
                  cell_identical ? "true" : "false");
   bench::write_artifact("BENCH_obs_overhead.json", json);

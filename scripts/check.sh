@@ -10,6 +10,32 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
+# Determinism contracts: runs of one bench that differ only in environment
+# must print the same stdout and write the same artifacts, byte for byte.
+# same_bytes DIR "ARTIFACTS" "BENCH [ARGS]" REF_ENV [ENV ...] keeps the REF_ENV
+# run's stdout and artifacts in build/bench/DIR/ref and cmp's each ENV run
+# against them; same_as_ref DIR cmp's a run made with run_bench DIR BENCH ENV.
+# stderr accumulates in build/bench/DIR/stderr.txt.
+run_bench() { (cd build/bench && env $3 $2 > "$1/stdout.txt" 2>> "$1/stderr.txt"); }
+same_as_ref() {
+  cmp "build/bench/$1/ref/stdout.txt" "build/bench/$1/stdout.txt"
+  for artifact in $(cat "build/bench/$1/ref/artifacts"); do
+    cmp "build/bench/$1/ref/$artifact" "build/bench/$artifact"
+  done
+}
+same_bytes() {
+  local env_vars
+  rm -rf "build/bench/$1" && mkdir -p "build/bench/$1/ref"
+  run_bench "$1" "$3" "$4"
+  echo "$2" > "build/bench/$1/ref/artifacts"
+  (cd build/bench && cp "$1/stdout.txt" $2 "$1/ref/")
+  for env_vars in "${@:5}"; do
+    run_bench "$1" "$3" "$env_vars"
+    same_as_ref "$1"
+  done
+}
+cell_artifacts="BENCH_cell.json BENCH_cell.metrics.json"
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
@@ -52,7 +78,7 @@ echo "chaos contract held"
 
 echo "== cell: co-simulation determinism + ASan sweep =="
 # The shared-cell co-simulation must be a pure function of its config
-# (serial == BatchRunner-sharded sweeps, audited traces) — cell_test covers
+# (serial == BatchRunner-pooled sweeps, audited traces) — cell_test covers
 # that in-process; run it in the tier-1 build, then the 32-seed chaos sweep
 # over cell scenarios again under ASan to guard the per-session teardown
 # (client/load replacement, stale abort events, grant release on demotion).
@@ -74,26 +100,16 @@ cmake --build build-asan -j "$JOBS" \
   --target radio_outage_boundary_test --target radio_rrc_test
 ./build-asan/tests/radio_outage_boundary_test
 ./build-asan/tests/radio_rrc_test
-# Trimmed cell outage sweep under ASan: serial == sharded == supervised with
+# Trimmed cell outage sweep under ASan: serial == pooled == supervised with
 # per-UE fades and whole-cell blackouts active.
 EAB_CELL_OUTAGE_SEEDS=8 ./build-asan/tests/cell_test \
-  --gtest_filter='CellTest.OutageSweepSerialShardedSupervisedBitIdentical'
+  --gtest_filter='CellTest.OutageSweepSerialPooledSupervisedBitIdentical'
 # Null path: with the outage knobs explicitly set to their disabled values,
 # the --cell bench must emit byte-identical stdout and artifacts to a run
 # that never mentions them.
-radio=build/bench/radio_null
-rm -rf "$radio"
-mkdir -p "$radio"
 radio_env="EAB_CELL_USERS=8 EAB_CELL_SEED=3"
-(cd build/bench && env $radio_env ./bench_fig11_capacity --cell \
-  > radio_null/ref_stdout.txt)
-cp build/bench/BENCH_cell.json "$radio/ref_cell.json"
-cp build/bench/BENCH_cell.metrics.json "$radio/ref_cell.metrics.json"
-(cd build/bench && env $radio_env EAB_OUTAGE_COUNT=0 EAB_CELL_OUTAGE_COUNT=0 \
-  ./bench_fig11_capacity --cell > radio_null/off_stdout.txt)
-cmp "$radio/ref_stdout.txt" "$radio/off_stdout.txt"
-cmp "$radio/ref_cell.json" build/bench/BENCH_cell.json
-cmp "$radio/ref_cell.metrics.json" build/bench/BENCH_cell.metrics.json
+same_bytes radio_null "$cell_artifacts" "./bench_fig11_capacity --cell" \
+  "$radio_env" "$radio_env EAB_OUTAGE_COUNT=0 EAB_CELL_OUTAGE_COUNT=0"
 # Enabled path end-to-end: the ext_faults outage sweep (both pipelines, three
 # re-establishment failure rates) with every load traced and audited.
 (cd build/bench && EAB_TRACE=1 EAB_OUTAGE_COUNT=2 EAB_OUTAGE_START=1 \
@@ -108,20 +124,10 @@ echo "== supervision: crash-recovery soak =="
 # run.  Three chaos seeds drive different kill schedules; the grep at the
 # end requires at least 8 injected kills and at least one orchestrator kill
 # across the soak.
-soak=build/bench/soak
-rm -rf "$soak"
-mkdir -p "$soak"
-soak_env="EAB_CELL_USERS=16 EAB_CELL_SEED=5"
-(cd build/bench && env $soak_env ./bench_fig11_capacity --cell > soak/ref_stdout.txt)
-cp build/bench/BENCH_cell.json "$soak/ref_cell.json"
-cp build/bench/BENCH_cell.metrics.json "$soak/ref_cell.metrics.json"
-
 # Supervised but uninterrupted: forked workers, same bytes.
-(cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
-  ./bench_fig11_capacity --cell > soak/sup_stdout.txt 2> soak/sup_stderr.txt)
-cmp "$soak/ref_stdout.txt" "$soak/sup_stdout.txt"
-cmp "$soak/ref_cell.json" build/bench/BENCH_cell.json
-cmp "$soak/ref_cell.metrics.json" build/bench/BENCH_cell.metrics.json
+soak_env="EAB_CELL_USERS=16 EAB_CELL_SEED=5"
+same_bytes soak "$cell_artifacts" "./bench_fig11_capacity --cell" \
+  "$soak_env" "$soak_env EAB_SUPERVISE=1 EAB_WORKERS=2"
 
 # Chaos: relaunch until the sweep survives its own kill schedule.  Each
 # launch is killed mid-run (workers at seed-derived commit points, the
@@ -129,14 +135,13 @@ cmp "$soak/ref_cell.metrics.json" build/bench/BENCH_cell.metrics.json
 # proves the journal resumes; stdout is rewritten per launch, leaving the
 # final successful launch's output for the byte-compare.
 for chaos_seed in 77 101 202; do
-  rm -rf "$soak/ckpt"
-  mkdir -p "$soak/ckpt"
+  rm -rf build/bench/soak/ckpt
+  mkdir -p build/bench/soak/ckpt
   relaunches=0
-  until (cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
-      EAB_CHECKPOINT_DIR="soak/ckpt" EAB_SELF_CHAOS="$chaos_seed" \
-      EAB_SELF_CHAOS_KILLS=16 EAB_SELF_CHAOS_ORC=1 \
-      ./bench_fig11_capacity --cell > soak/chaos_stdout.txt \
-      2>> soak/chaos_stderr.txt); do
+  until run_bench soak "./bench_fig11_capacity --cell" \
+      "$soak_env EAB_SUPERVISE=1 EAB_WORKERS=2 EAB_CHECKPOINT_DIR=soak/ckpt
+       EAB_SELF_CHAOS=$chaos_seed EAB_SELF_CHAOS_KILLS=16 EAB_SELF_CHAOS_ORC=1"
+  do
     relaunches=$((relaunches + 1))
     if [ "$relaunches" -gt 20 ]; then
       echo "SOAK FAILED: seed $chaos_seed never converged" >&2
@@ -144,12 +149,10 @@ for chaos_seed in 77 101 202; do
     fi
   done
   echo "chaos seed $chaos_seed: recovered after $relaunches relaunch(es)"
-  cmp "$soak/ref_stdout.txt" "$soak/chaos_stdout.txt"
-  cmp "$soak/ref_cell.json" build/bench/BENCH_cell.json
-  cmp "$soak/ref_cell.metrics.json" build/bench/BENCH_cell.metrics.json
+  same_as_ref soak
 done
-kills=$(grep -c 'supervisor: chaos SIGKILL' "$soak/chaos_stderr.txt")
-orc_kills=$(grep -c 'supervisor: chaos SIGKILL orchestrator' "$soak/chaos_stderr.txt")
+kills=$(grep -c 'supervisor: chaos SIGKILL' build/bench/soak/stderr.txt)
+orc_kills=$(grep -c 'supervisor: chaos SIGKILL orchestrator' build/bench/soak/stderr.txt)
 echo "soak: $kills chaos kills injected ($orc_kills orchestrator)"
 if [ "$kills" -lt 8 ] || [ "$orc_kills" -lt 1 ]; then
   echo "SOAK FAILED: expected >= 8 kills incl >= 1 orchestrator kill" >&2
@@ -166,7 +169,7 @@ cmake --build build-asan -j "$JOBS" \
 
 echo "== metro: multi-cell mobility determinism + ASan sweep =="
 # Tier-1 metro suites in the regular build: the full metro contract
-# (1-cell ≡ run_cell bytes, tier/shard invariance, ledger conservation,
+# (1-cell ≡ run_cell bytes, execution-tier invariance, ledger conservation,
 # audited mobility traces) plus the forced-handover boundary matrix.
 ./build/tests/metro_test
 ./build/tests/metro_handover_boundary_test
@@ -182,21 +185,12 @@ EAB_METRO_SWEEP_SEEDS=16 ./build-asan/tests/metro_test \
 # cell::run_cell byte for byte (telemetry and outages included).
 ./build/tests/metro_test \
   --gtest_filter='MetroTest.OneCellZeroMobilityIsByteIdenticalToRunCell:MetroTest.OneCellTelemetryAndOutagesStillMatchRunCell'
-# End-to-end acceptance: BENCH_metro.json byte-identical across serial,
-# sharded (K=4) and supervised runs of the same metro sweep.
-metro=build/bench/metro_check
-rm -rf "$metro"
-mkdir -p "$metro"
+# End-to-end acceptance: stdout and BENCH_metro.json byte-identical across
+# the default pool, a one-worker pool and supervised runs of the same sweep.
 metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
-(cd build/bench && env $metro_env ./bench_metro > metro_check/ref_stdout.txt)
-cp build/bench/BENCH_metro.json "$metro/ref_metro.json"
-(cd build/bench && env $metro_env EAB_METRO_SHARDS=4 ./bench_metro > /dev/null)
-cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
-(cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
-  ./bench_metro > metro_check/sup_stdout.txt 2>> metro_check/sup_stderr.txt)
-cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
-cmp "$metro/ref_stdout.txt" "$metro/sup_stdout.txt"
-echo "metro sweep byte-identical across serial/sharded/supervised"
+same_bytes metro_check "BENCH_metro.json" ./bench_metro "$metro_env" \
+  "$metro_env EAB_JOBS=1" "$metro_env EAB_SUPERVISE=1 EAB_WORKERS=2"
+echo "metro sweep byte-identical across pool sizes and supervision"
 
 echo "== telemetry: determinism suite + overhead gate + cross-mode bytes =="
 # The telemetry ladder (DESIGN.md §11): integer-quanta merge associativity,
@@ -212,24 +206,20 @@ cmake --build build-asan -j "$JOBS" --target obs_telemetry_test
 (cd build/bench && ./bench_obs_overhead > /dev/null)
 grep -q '"sampling_within_budget": true' build/bench/BENCH_obs_overhead.json
 grep -q '"cell_workload_identical": true' build/bench/BENCH_obs_overhead.json
-# End-to-end acceptance: BENCH_cell.timeseries.json must be byte-identical
-# across serial, sharded (K=4) and supervised runs of the same sweep.
+# End-to-end acceptance: stdout, BENCH_cell.timeseries.json and the other
+# cell artifacts byte-identical across the default pool, a one-worker pool
+# and supervised runs of the same sweep.
 ts_env="EAB_CELL_USERS=16 EAB_CELL_SEED=5 EAB_TELEMETRY=1"
-(cd build/bench && env $ts_env ./bench_fig11_capacity --cell > /dev/null)
-cp build/bench/BENCH_cell.timeseries.json "$soak/ref_cell.timeseries.json"
-(cd build/bench && env $ts_env EAB_CELL_SHARDS=4 \
-  ./bench_fig11_capacity --cell > /dev/null)
-cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
-(cd build/bench && env $ts_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
-  ./bench_fig11_capacity --cell > /dev/null 2>> soak/sup_stderr.txt)
-cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
-echo "telemetry series byte-identical across serial/sharded/supervised"
+same_bytes telemetry "$cell_artifacts BENCH_cell.timeseries.json" \
+  "./bench_fig11_capacity --cell" "$ts_env" "$ts_env EAB_JOBS=1" \
+  "$ts_env EAB_SUPERVISE=1 EAB_WORKERS=2"
+echo "telemetry series byte-identical across pool sizes and supervision"
 
 echo "== UBSan: event-engine and JS-engine tests under -fsanitize=undefined =="
 # The pooled event engine type-erases callables into recycled slot storage
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
-# differential test's random op soup and the sharded replays.  The JS engine
+# differential test's random op soup.  The JS engine
 # casts script numbers to indices; this build adds float-cast-overflow, so a
 # NaN, negative or huge index that reached a cast would fail here.
 cmake -B build-ubsan -S . -DEAB_SANITIZE=undefined

@@ -27,34 +27,19 @@ CellResult run_cell(const CellConfig& config) {
   validate_cell_config(config);
   sim::Simulator sim;
   sim.set_event_budget(config.sim_event_budget);
-  sim.set_shard_count(config.sim_shards);
   TickCoordinator ticks;
   const bool telemetry = config.telemetry_tick > 0;
-  CellSim cell(sim, config, /*cell_index=*/0, /*shard_base=*/0,
-               telemetry ? &ticks : nullptr);
+  CellSim cell(sim, config, /*cell_index=*/0, telemetry ? &ticks : nullptr);
   std::vector<std::unique_ptr<CellUe>> ues;
   ues.reserve(config.users);
   for (int id = 0; id < config.users; ++id) {
-    // Everything a UE schedules — from wiring-time fade windows and cache
-    // storms to every event its sessions spawn (children inherit the
-    // firing event's shard) — lands on the UE's own shard.
-    sim.set_schedule_shard(id % config.sim_shards);
     ues.push_back(cell.make_ue(
         id, derive_seed(config.cell_seed, static_cast<std::uint64_t>(id))));
   }
-  if (config.cell_outage_count > 0) {
-    // Whole-cell events touch every UE, so they live on shard 0 like the
-    // telemetry tick; the merged fire order is shard-count-invariant.
-    sim.set_schedule_shard(0);
-    cell.schedule_cell_outages();
-  }
-  for (auto& ue : ues) {
-    sim.set_schedule_shard(ue->id % config.sim_shards);
-    cell.schedule_first_arrival(*ue);
-  }
+  if (config.cell_outage_count > 0) cell.schedule_cell_outages();
+  for (auto& ue : ues) cell.schedule_first_arrival(*ue);
   Seconds workload_end = 0;
   if (telemetry) {
-    sim.set_schedule_shard(0);
     cell.start_telemetry();
     // The trailing tick — the one that finds the queue drained — is always
     // the very last event, so the last non-tick event is the last workload

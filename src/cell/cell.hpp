@@ -106,12 +106,6 @@ struct CellConfig {
   /// Liveness guard for the whole cell (many stacks share one simulator,
   /// so the budget is far above the single-load default).
   std::uint64_t sim_event_budget = 2'000'000'000;
-  /// Event-queue shards (sim::Simulator::set_shard_count).  UE `i` and every
-  /// event transitively scheduled by it live on shard `i % sim_shards`, so
-  /// the engine stops paying one global heap for all UEs.  The merged fire
-  /// order is bit-identical to the single-queue engine for any value; 1 (the
-  /// default) keeps the classic single heap.
-  int sim_shards = 1;
   /// Simulated-time telemetry sampling period (DESIGN.md §11).  0 (the
   /// default) disables telemetry entirely: no series, no tick events, the
   /// run is bit-identical — sim_events included — to a build without the

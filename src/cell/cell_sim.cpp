@@ -59,10 +59,6 @@ void validate_cell_config(const CellConfig& config) {
   if (config.sim_event_budget == 0) {
     throw std::invalid_argument("run_cell: sim_event_budget must be > 0");
   }
-  if (config.sim_shards < 1 || config.sim_shards > 256) {
-    throw std::invalid_argument("run_cell: sim_shards must be in [1, 256] (got " +
-                                std::to_string(config.sim_shards) + ")");
-  }
   if (config.telemetry_tick < 0 || !std::isfinite(config.telemetry_tick)) {
     throw std::invalid_argument(
         "run_cell: telemetry_tick must be >= 0 and finite");
@@ -106,11 +102,10 @@ CellUe::CellUe(sim::Simulator& sim, const CellConfig& config, int id_,
       hosted_urls(config.specs.size()) {}
 
 CellSim::CellSim(sim::Simulator& sim, const CellConfig& config,
-                 int cell_index, int shard_base, TickCoordinator* ticks)
+                 int cell_index, TickCoordinator* ticks)
     : config_(config),
       sim_(sim),
       index_(cell_index),
-      shard_base_(shard_base),
       per_ue_rate_(config.per_ue.stack.link.dch_bandwidth),
       cell_rate_(config.cell_bandwidth > 0
                      ? config.cell_bandwidth
@@ -143,9 +138,6 @@ std::unique_ptr<CellUe> CellSim::make_ue(int id, std::uint64_t seed) {
 }
 
 void CellSim::schedule_cell_outages() {
-  // Whole-cell events touch every UE, so they live on the cell's base
-  // shard like the telemetry tick; the merged fire order is
-  // shard-count-invariant.
   for (int i = 0; i < config_.cell_outage_count; ++i) {
     const Seconds begin =
         config_.cell_outage_start + i * config_.cell_outage_period;
@@ -604,9 +596,7 @@ void CellSim::schedule_tick(Seconds at) {
 
 void CellSim::start_telemetry() {
   // Baseline sample at t=0 (no event needed: the clock hasn't started),
-  // then the self-rescheduling tick.  Ticks live on the cell's base shard;
-  // descendants inherit the firing event's shard, so the chain stays there
-  // and the merged fire order is bit-identical at any shard count.
+  // then the self-rescheduling tick.
   sample_gauges(0.0);
   ticks_->chain_started();
   schedule_tick(config_.telemetry_tick);

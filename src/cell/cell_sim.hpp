@@ -133,26 +133,21 @@ class TickCoordinator {
 class CellSim {
  public:
   /// `config` and `ticks` must outlive the CellSim.  `ticks` is required
-  /// when config.telemetry_tick > 0 and ignored otherwise.  `shard_base`
-  /// is the first simulator shard of this cell's shard range (cell c of a
-  /// metro owns shards [c*S, (c+1)*S) where S = config.sim_shards);
-  /// whole-cell events (outage windows, telemetry ticks) live on it.
+  /// when config.telemetry_tick > 0 and ignored otherwise.
   CellSim(sim::Simulator& sim, const CellConfig& config, int cell_index = 0,
-          int shard_base = 0, TickCoordinator* ticks = nullptr);
+          TickCoordinator* ticks = nullptr);
 
   CellSim(const CellSim&) = delete;
   CellSim& operator=(const CellSim&) = delete;
 
   const CellConfig& config() const { return config_; }
   int index() const { return index_; }
-  int shard_base() const { return shard_base_; }
   bool down() const { return cell_down_; }
   std::shared_ptr<obs::Telemetry> telemetry() const {
     return telemetry_result_;
   }
 
-  // --- construction-time registration (driver sets the schedule shard
-  //     before each call; events scheduled inside inherit it) -------------
+  // --- construction-time registration -----------------------------------
 
   /// Builds a UE homed in this cell, wires its hooks (grant transitions,
   /// fault/outage/cache/trace plumbing, bandwidth observer) and registers
@@ -228,7 +223,6 @@ class CellSim {
   const CellConfig& config_;
   sim::Simulator& sim_;
   const int index_;
-  const int shard_base_;
   BytesPerSecond per_ue_rate_;
   BytesPerSecond cell_rate_;
   std::vector<CellUe*> members_;    ///< currently attached (serving set)

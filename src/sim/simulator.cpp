@@ -17,56 +17,25 @@ Simulator::~Simulator() {
   }
 }
 
-void Simulator::init_shards(int shards) {
-  if (shards < 1 || shards > kMaxShards) {
-    throw std::invalid_argument(
-        "Simulator: shard count must be in [1, " +
-        std::to_string(kMaxShards) + "] (got " + std::to_string(shards) + ")");
-  }
-  shards_.assign(static_cast<std::size_t>(shards), Shard{});
-  schedule_shard_ = 0;
-}
-
-void Simulator::set_shard_count(int shards) {
-  if (next_order_ != 1) {
-    throw std::logic_error(
-        "Simulator::set_shard_count: must be called before any event is "
-        "scheduled (events seen: " +
-        std::to_string(next_order_ - 1) + ")");
-  }
-  init_shards(shards);
-}
-
-void Simulator::set_schedule_shard(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
-    throw std::out_of_range("Simulator::set_schedule_shard: shard " +
-                            std::to_string(shard) + " not in [0, " +
-                            std::to_string(shards_.size()) + ")");
-  }
-  schedule_shard_ = shard;
-}
-
-void Simulator::compact_shard(Shard& shard) {
+void Simulator::compact() {
   // Keep the live nodes (slot occupant still carries the node's order stamp),
   // drop the tombstones, and restore the heap invariant with a Floyd
   // build-heap pass.  Node keys are unique, so any valid heap arrangement of
   // the same live set pops in the same (time, order) sequence — compaction
   // can never change the fire order.
-  auto& heap = shard.heap;
   std::size_t kept = 0;
-  for (const Node& node : heap) {
+  for (const Node& node : heap_) {
     if (slot_at(slot_of(node.key)).order == order_of(node.key)) {
-      heap[kept++] = node;
+      heap_[kept++] = node;
     }
   }
-  const std::size_t removed = heap.size() - kept;
-  heap.resize(kept);
+  const std::size_t removed = heap_.size() - kept;
+  heap_.resize(kept);
   tombstones_popped_ += removed;
-  total_nodes_ -= removed;
-  shard.dead -= removed;
+  dead_ -= removed;
   if (kept > 1) {
     for (std::size_t hole = (kept - 2) / 4 + 1; hole-- > 0;) {
-      sift_down(heap, hole, heap[hole]);
+      sift_down(hole, heap_[hole]);
     }
   }
 }
@@ -89,11 +58,10 @@ RunResult Simulator::run(std::size_t max_events) {
 
 std::size_t Simulator::run_until(Seconds until) {
   std::size_t n = 0;
-  while (total_nodes_ > 0) {
-    Shard& shard = shards_[static_cast<std::size_t>(min_shard())];
-    const Node top = shard.heap.front();
+  while (!heap_.empty()) {
+    const Node top = heap_.front();
     if (slot_at(slot_of(top.key)).order != order_of(top.key)) {
-      drop_tombstone(shard);
+      drop_tombstone();
       continue;
     }
     if (top.at > until) break;
@@ -104,15 +72,13 @@ std::size_t Simulator::run_until(Seconds until) {
 }
 
 std::string Simulator::pending_dump(std::size_t max_entries) const {
-  // Heaps are not sorted; collect the live entries across shards and order
-  // them by firing order.
+  // The heap is not sorted; collect the live entries and order them by
+  // firing order.
   std::vector<std::pair<Seconds, std::uint64_t>> live;  // (at, order stamp)
   live.reserve(live_);
-  for (const Shard& shard : shards_) {
-    for (const Node& node : shard.heap) {
-      if (slot_at(slot_of(node.key)).order == order_of(node.key)) {
-        live.emplace_back(node.at, order_of(node.key));
-      }
+  for (const Node& node : heap_) {
+    if (slot_at(slot_of(node.key)).order == order_of(node.key)) {
+      live.emplace_back(node.at, order_of(node.key));
     }
   }
   std::sort(live.begin(), live.end());

@@ -23,11 +23,6 @@
 //    discarded when they surface, and compacted in place when they exceed
 //    half of a sufficiently large heap — an RRC timer reschedule storm no
 //    longer buries dead entries until their timestamps pass.
-//  - Opt-in sharded multi-queue mode: K independent heaps with a
-//    deterministic earliest-(time, order) merge.  Order stamps are global,
-//    so the merged fire sequence is bit-identical to the single-queue engine
-//    no matter how events are partitioned; shard placement is purely a
-//    performance decision (cell runs partition non-interacting UE groups).
 #pragma once
 
 #include <cstdint>
@@ -86,9 +81,7 @@ class Simulator {
   /// std::function still works (and its emptiness is still rejected).
   using Action = std::function<void()>;
 
-  /// Constructs the simulator with `shards` independent event queues
-  /// (see set_shard_count); the default is the classic single queue.
-  explicit Simulator(int shards = 1) { init_shards(shards); }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
@@ -165,30 +158,13 @@ class Simulator {
   std::uint64_t cancelled_count() const { return cancelled_count_; }
 
   /// Tombstoned heap entries removed without firing — surfaced at the top of
-  /// a heap or swept by in-place compaction.  Over a drained run this equals
+  /// the heap or swept by in-place compaction.  Over a drained run this equals
   /// cancelled_count().
   std::uint64_t tombstones_popped() const { return tombstones_popped_; }
 
-  /// Largest pending-queue size observed, summed across shards (live nodes
-  /// plus not-yet-collected tombstones).
+  /// Largest pending-queue size observed (live nodes plus not-yet-collected
+  /// tombstones).
   std::size_t peak_heap_size() const { return peak_heap_size_; }
-
-  // --- sharded multi-queue mode ------------------------------------------
-
-  /// Splits the pending queue into `shards` independent heaps merged in
-  /// deterministic earliest-(time, order) order.  Because order stamps are
-  /// global, results are bit-identical to the single-queue engine for any
-  /// shard assignment; sharding only changes per-heap sizes and locality.
-  /// Must be called before any event is ever scheduled.
-  void set_shard_count(int shards);
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// Selects the shard that receives subsequently scheduled events.  While
-  /// an event is firing, the scheduling shard is the firing event's shard
-  /// (children inherit their parent's partition) and is restored afterwards;
-  /// this setter positions top-level scheduling, e.g. per-UE setup code.
-  void set_schedule_shard(int shard);
-  int schedule_shard() const { return schedule_shard_; }
 
   /// Blocks parked on the oversized-capture free list (diagnostics/tests).
   std::size_t overflow_free_blocks() const { return overflow_.free_blocks(); }
@@ -210,7 +186,6 @@ class Simulator {
   static constexpr std::uint32_t kNilSlot = 0xFFFF'FFFFu;
   static constexpr int kPageBits = 9;
   static constexpr std::uint32_t kPageSize = 1u << kPageBits;
-  static constexpr int kMaxShards = 256;
   /// Compaction floor: heaps smaller than this are never compacted, so the
   /// counters of modest runs (every single page load) are bit-identical to
   /// the pre-compaction engine.
@@ -223,14 +198,9 @@ class Simulator {
     void* ext = nullptr;          ///< external object when ops->size != 0
     std::uint64_t order = 0;      ///< occupant's order stamp; 0 = not pending
     std::uint32_t next_free = kNilSlot;
-    std::uint16_t shard = 0;
   };
   struct Page {
     Slot slots[kPageSize];
-  };
-  struct Shard {
-    std::vector<Node> heap;
-    std::size_t dead = 0;  ///< tombstone nodes currently buried in `heap`
   };
 
   static std::uint32_t slot_of(std::uint64_t key) {
@@ -243,37 +213,37 @@ class Simulator {
     return a.key < b.key;  // key order == order-stamp order (stamps unique)
   }
 
-  static void sift_up(std::vector<Node>& heap, std::size_t hole, Node node) {
+  void sift_up(std::size_t hole, Node node) {
     while (hole > 0) {
       const std::size_t parent = (hole - 1) / 4;
-      if (!node_less(node, heap[parent])) break;
-      heap[hole] = heap[parent];
+      if (!node_less(node, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
       hole = parent;
     }
-    heap[hole] = node;
+    heap_[hole] = node;
   }
 
-  static void sift_down(std::vector<Node>& heap, std::size_t hole, Node node) {
-    const std::size_t n = heap.size();
+  void sift_down(std::size_t hole, Node node) {
+    const std::size_t n = heap_.size();
     while (true) {
       const std::size_t first = hole * 4 + 1;
       if (first >= n) break;
       std::size_t best = first;
       const std::size_t end = first + 4 < n ? first + 4 : n;
       for (std::size_t child = first + 1; child < end; ++child) {
-        if (node_less(heap[child], heap[best])) best = child;
+        if (node_less(heap_[child], heap_[best])) best = child;
       }
-      if (!node_less(heap[best], node)) break;
-      heap[hole] = heap[best];
+      if (!node_less(heap_[best], node)) break;
+      heap_[hole] = heap_[best];
       hole = best;
     }
-    heap[hole] = node;
+    heap_[hole] = node;
   }
 
-  static void pop_root(std::vector<Node>& heap) {
-    const Node last = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) sift_down(heap, 0, last);
+  void pop_root() {
+    const Node last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
   }
 
   Slot& slot_at(std::uint32_t idx) {
@@ -308,32 +278,14 @@ class Simulator {
     free_head_ = idx;
   }
 
-  /// Index of the shard whose head fires next.  Requires total_nodes_ > 0.
-  int min_shard() const {
-    if (shards_.size() == 1) return 0;
-    int best = -1;
-    Node best_node{0, 0};
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& heap = shards_[s].heap;
-      if (heap.empty()) continue;
-      if (best < 0 || node_less(heap.front(), best_node)) {
-        best = static_cast<int>(s);
-        best_node = heap.front();
-      }
-    }
-    return best;
-  }
-
-  /// Discards the tombstone at the top of `shard`'s heap.
-  void drop_tombstone(Shard& shard) {
-    pop_root(shard.heap);
-    --total_nodes_;
+  /// Discards the tombstone at the top of the heap.
+  void drop_tombstone() {
+    pop_root();
     ++tombstones_popped_;
-    --shard.dead;
+    --dead_;
   }
 
-  void init_shards(int shards);
-  void compact_shard(Shard& shard);
+  void compact();
 
   [[noreturn]] void throw_budget_exhausted() const;
   [[noreturn]] static void throw_past_schedule(Seconds at, Seconds now);
@@ -342,17 +294,11 @@ class Simulator {
   [[noreturn]] static void throw_slot_limit();
   [[noreturn]] static void throw_order_overflow();
 
-  /// Restores engine state after an event fires, on both the normal and the
-  /// exceptional path: the fired slot is recycled and the inherited
-  /// scheduling shard is popped.
+  /// Recycles the fired slot on both the normal and the exceptional path.
   struct FireCleanup {
     Simulator* sim;
     std::uint32_t slot;
-    int prev_shard;
-    ~FireCleanup() {
-      sim->release_slot(slot);
-      sim->schedule_shard_ = prev_shard;
-    }
+    ~FireCleanup() { sim->release_slot(slot); }
   };
 
   Seconds now_ = 0;
@@ -362,10 +308,9 @@ class Simulator {
   std::uint64_t cancelled_count_ = 0;
   std::uint64_t tombstones_popped_ = 0;
   std::size_t peak_heap_size_ = 0;
-  std::size_t live_ = 0;         ///< pending (scheduled, not cancelled/fired)
-  std::size_t total_nodes_ = 0;  ///< heap nodes across shards, incl. tombstones
-  int schedule_shard_ = 0;
-  std::vector<Shard> shards_;
+  std::size_t live_ = 0;  ///< pending (scheduled, not cancelled/fired)
+  std::size_t dead_ = 0;  ///< tombstone nodes currently buried in `heap_`
+  std::vector<Node> heap_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNilSlot;
   std::vector<std::unique_ptr<Page>> pages_;
@@ -405,13 +350,11 @@ EventId Simulator::schedule_at(Seconds at, F&& action) {
 
   const std::uint64_t order = next_order_++;
   slot.order = order;
-  slot.shard = static_cast<std::uint16_t>(schedule_shard_);
   ++live_;
   const Node node{at, (order << kSlotBits) | slot_idx};
-  auto& heap = shards_[static_cast<std::size_t>(schedule_shard_)].heap;
-  heap.push_back(node);
-  sift_up(heap, heap.size() - 1, node);
-  if (++total_nodes_ > peak_heap_size_) peak_heap_size_ = total_nodes_;
+  heap_.push_back(node);
+  sift_up(heap_.size() - 1, node);
+  if (heap_.size() > peak_heap_size_) peak_heap_size_ = heap_.size();
   return EventId(node.key);
 }
 
@@ -421,37 +364,30 @@ inline bool Simulator::cancel(EventId id) {
   if (slot_idx >= slot_count_) return false;
   Slot& slot = slot_at(slot_idx);
   if (slot.order != order_of(id.handle_)) return false;
-  Shard& shard = shards_[slot.shard];
   release_slot(slot_idx);  // the heap node is now a tombstone
   --live_;
   ++cancelled_count_;
-  ++shard.dead;
-  if (shard.heap.size() >= kCompactMinNodes &&
-      shard.dead * 2 > shard.heap.size()) {
-    compact_shard(shard);
-  }
+  ++dead_;
+  if (heap_.size() >= kCompactMinNodes && dead_ * 2 > heap_.size()) compact();
   return true;
 }
 
 inline bool Simulator::step() {
-  while (total_nodes_ > 0) {
+  while (!heap_.empty()) {
     if (fired_count_ >= event_budget_) throw_budget_exhausted();
-    Shard& shard = shards_[static_cast<std::size_t>(min_shard())];
-    const Node top = shard.heap.front();
+    const Node top = heap_.front();
     const std::uint32_t slot_idx = slot_of(top.key);
     Slot& slot = slot_at(slot_idx);
     if (slot.order != order_of(top.key)) {  // tombstone
-      drop_tombstone(shard);
+      drop_tombstone();
       continue;
     }
-    pop_root(shard.heap);
-    --total_nodes_;
+    pop_root();
     slot.order = 0;  // cancel()/pending() during our own execution see fired
     --live_;
     ++fired_count_;
     now_ = top.at;
-    FireCleanup cleanup{this, slot_idx, schedule_shard_};
-    schedule_shard_ = static_cast<int>(slot.shard);
+    FireCleanup cleanup{this, slot_idx};
     void* obj = slot.ops->size ? slot.ext : slot.inline_buf;
     slot.ops->invoke(obj);
     return true;

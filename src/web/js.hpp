@@ -70,6 +70,12 @@ using Object = std::map<std::string, Value, std::less<>>;
 /// instead of allocating a billion values.
 constexpr std::size_t kMaxArrayLength = std::size_t{1} << 20;
 
+/// Deepest array nesting Value::to_string() renders.  One level more throws
+/// JsError("value nesting too deep") and fails the script: a value that deep
+/// comes from a runaway loop, not a page.  (The walk keeps its path on the
+/// heap, so depth never threatens the stack.)
+constexpr std::size_t kMaxStringifyDepth = 10'000;
+
 /// Sentinels for host-provided namespace objects (document, Math, window).
 enum class HostObject : std::uint8_t { kDocument, kMath, kWindow };
 
@@ -152,7 +158,12 @@ class Value {
 
   bool truthy() const;
   double to_number() const;
+  /// Arrays join their elements with ","; an array already being rendered
+  /// further up (a cycle) renders as "", as Array.prototype.join does.
+  /// Throws JsError past kMaxStringifyDepth nested arrays.
   std::string to_string() const;
+  /// Appends to_string() of this array to `out`; type() must be kArray.
+  void append_array_to(std::string& out) const;
 
  private:
   union Payload {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "web/js.hpp"
 
@@ -14,6 +15,7 @@ struct StringCell : detail::Cell {
 struct ArrayCell : detail::Cell {
   explicit ArrayCell(Array a) : items(std::move(a)) {}
   Array items;
+  bool rendering = false;  ///< on the path of an append_array_to in progress
 };
 struct ObjectCell : detail::Cell {
   Object fields;
@@ -93,20 +95,55 @@ Object& Value::as_object() const {
   return static_cast<ObjectCell*>(payload_.cell)->fields;
 }
 
-void Value::destroy() {
-  switch (type_) {
-    case Type::kString:
-      delete static_cast<StringCell*>(payload_.cell);
-      break;
-    case Type::kArray:
-      delete static_cast<ArrayCell*>(payload_.cell);
-      break;
-    case Type::kObject:
-      delete static_cast<ObjectCell*>(payload_.cell);
-      break;
-    default:
-      break;
+namespace {
+
+/// Nested frees past this depth are queued and drained by the outermost one.
+constexpr int kMaxFreeDepth = 256;
+
+using FreeQueue = std::vector<std::pair<Value::Type, detail::Cell*>>;
+thread_local int free_depth = 0;
+thread_local FreeQueue* free_queue = nullptr;
+
+void delete_cell(Value::Type type, detail::Cell* cell) {
+  if (type == Value::Type::kArray) {
+    delete static_cast<ArrayCell*>(cell);
+  } else {
+    delete static_cast<ObjectCell*>(cell);
   }
+}
+
+}  // namespace
+
+void Value::destroy() {
+  if (type_ == Type::kString) {
+    delete static_cast<StringCell*>(payload_.cell);
+    return;
+  }
+  // Freeing an array or object frees its children from inside its
+  // destructor.  Past kMaxFreeDepth nested frees a cell is queued instead,
+  // and the outermost free drains the queue, so a deeply nested value
+  // cannot exhaust the stack.
+  if (free_depth == kMaxFreeDepth) {
+    free_queue->emplace_back(type_, payload_.cell);
+    return;
+  }
+  if (free_depth > 0) {
+    ++free_depth;
+    delete_cell(type_, payload_.cell);
+    --free_depth;
+    return;
+  }
+  FreeQueue queue;
+  free_queue = &queue;
+  free_depth = 1;
+  delete_cell(type_, payload_.cell);
+  while (!queue.empty()) {
+    const auto [type, cell] = queue.back();
+    queue.pop_back();
+    delete_cell(type, cell);
+  }
+  free_depth = 0;
+  free_queue = nullptr;
 }
 
 bool Value::truthy() const {
@@ -162,14 +199,9 @@ void append(std::string& out, const Value& value) {
     case Value::Type::kString:
       out += value.as_string();
       return;
-    case Value::Type::kArray: {
-      const Array& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out += ",";
-        append(out, items[i]);
-      }
+    case Value::Type::kArray:
+      value.append_array_to(out);
       return;
-    }
     case Value::Type::kFunction:
       out += "[function]";
       return;
@@ -183,6 +215,46 @@ void append(std::string& out, const Value& value) {
 }
 
 }  // namespace
+
+void Value::append_array_to(std::string& out) const {
+  // Depth-first over an explicit path, so nesting costs heap, not stack.
+  // Every array on the path is flagged `rendering`; meeting one again is a
+  // cycle, which renders as "".  The guard clears the flags on every exit.
+  struct Frame {
+    ArrayCell* cell;
+    std::size_t next;
+  };
+  struct Path {
+    std::vector<Frame> frames;
+    ~Path() {
+      for (const Frame& frame : frames) frame.cell->rendering = false;
+    }
+  } path;
+  const auto enter = [&path](detail::Cell* cell) {
+    auto* array = static_cast<ArrayCell*>(cell);
+    array->rendering = true;
+    path.frames.push_back({array, 0});
+  };
+  enter(payload_.cell);
+  while (!path.frames.empty()) {
+    Frame& frame = path.frames.back();
+    if (frame.next == frame.cell->items.size()) {
+      frame.cell->rendering = false;
+      path.frames.pop_back();
+      continue;
+    }
+    const Value& item = frame.cell->items[frame.next];
+    if (frame.next++ > 0) out += ",";
+    if (item.type_ != Type::kArray) {
+      append(out, item);
+    } else if (!static_cast<ArrayCell*>(item.payload_.cell)->rendering) {
+      if (path.frames.size() == kMaxStringifyDepth) {
+        throw JsError("value nesting too deep");
+      }
+      enter(item.payload_.cell);
+    }
+  }
+}
 
 std::string Value::to_string() const {
   if (type_ == Type::kString) return as_string();

@@ -1,4 +1,4 @@
-// Multi-UE shared-cell co-simulation: determinism (serial == sharded),
+// Multi-UE shared-cell co-simulation: determinism (serial == pooled),
 // grant-pool accounting under exhaustion, the qualitative Fig 11 capacity
 // claim from first principles, a chaos sweep over cell scenarios, and the
 // checked-in service-time quantiles for the M/G/N satellite.
@@ -77,27 +77,7 @@ TEST(CellTest, SameSeedSameResult) {
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 
-TEST(CellTest, ShardedEventQueuesAreBitIdenticalToSingleQueue) {
-  // The sharded multi-queue engine is a pure performance knob: any shard
-  // count must reproduce the single-queue run bit for bit — same counters,
-  // same per-UE energy to the last double.
-  CellConfig config = small_cell(browser::PipelineMode::kEnergyAware);
-  config.users = 20;
-  config.channels = 4;
-  ASSERT_EQ(config.sim_shards, 1);
-  const CellResult single = run_cell(config);
-  EXPECT_GT(single.offered, 0u);
-  for (int shards : {2, 4, 7}) {
-    config.sim_shards = shards;
-    const CellResult sharded = run_cell(config);
-    EXPECT_EQ(fingerprint(sharded), fingerprint(single))
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.metrics.to_json(), single.metrics.to_json())
-        << "shards=" << shards;
-  }
-}
-
-TEST(CellTest, SweepSerialEqualsSharded) {
+TEST(CellTest, SweepSerialEqualsPooled) {
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
   core::BatchRunner pooled(3);
@@ -274,12 +254,12 @@ TEST(CellTest, ChaosSweepOverCellScenarios) {
   }
 }
 
-TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
+TEST(CellTest, OutageSweepSerialPooledSupervisedBitIdentical) {
   // 32 seeds of a degraded-radio cell — every UE runs its own coverage
   // process (with re-establishment failures) underneath two whole-cell
-  // blackouts — and for every seed the serial single-queue run, the sharded
-  // engine at K in {2, 4, 7} and a supervised run must produce the same
-  // bytes through serialize_cell_result (radio-failure counters included).
+  // blackouts — and for every seed the serial run, a BatchRunner-pooled
+  // sweep and a supervised run must produce the same bytes through
+  // serialize_cell_result (radio-failure counters included).
   // EAB_CELL_OUTAGE_SEEDS trims the sweep for expensive builds (ASan).
   std::uint64_t seeds = 32;
   if (const char* raw = std::getenv("EAB_CELL_OUTAGE_SEEDS")) {
@@ -296,6 +276,7 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
+  core::BatchRunner runner(2);
 
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     const auto mode = seed % 2 == 0 ? browser::PipelineMode::kEnergyAware
@@ -310,19 +291,17 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
     config.cell_outage_period = 25.0;
     config.cell_outage_duration = 3.0;
 
-    ASSERT_EQ(config.sim_shards, 1);
     const CellResult serial = run_cell(config);
     EXPECT_GT(serial.offered, 0u) << "seed " << seed;
     EXPECT_EQ(serial.leaked_flows, 0u) << "seed " << seed;
     EXPECT_GT(serial.cell_outages, 0u) << "seed " << seed;
     const std::string reference = serialize_cell_result(serial);
 
-    for (int shards : {2, 4, 7}) {
-      config.sim_shards = shards;
-      EXPECT_EQ(serialize_cell_result(run_cell(config)), reference)
-          << "seed " << seed << " shards " << shards;
-    }
-    config.sim_shards = 1;
+    const auto pooled =
+        sweep(config, {config.users}, core::SweepExecution::pooled(runner));
+    ASSERT_EQ(pooled.size(), 1u);
+    EXPECT_EQ(serialize_cell_result(pooled[0]), reference)
+        << "seed " << seed << " pooled";
 
     core::Supervisor supervisor(sup_config);
     const auto supervised = sweep(config, {config.users},

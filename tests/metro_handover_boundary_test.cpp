@@ -63,8 +63,8 @@ struct MetroRig {
   explicit MetroRig(browser::PipelineMode mode, bool dark_target = false)
       : config0(rig_config(mode, 11, dark_target)),
         config1(rig_config(mode, 12, dark_target)),
-        cell0(sim, config0, 0, 0),
-        cell1(sim, config1, 1, 0) {
+        cell0(sim, config0, 0),
+        cell1(sim, config1, 1) {
     ue = cell0.make_ue(0, derive_seed(config0.cell_seed, 0));
     cell0.schedule_first_arrival(*ue);
     if (dark_target) cell1.schedule_cell_outages();
@@ -132,12 +132,32 @@ std::vector<Seconds> boundaries_for(browser::PipelineMode mode) {
   return times;
 }
 
+/// Move instants boundaries_for() finds in each mode.  HasEveryBoundary pins
+/// them and every sweep below asserts its list has exactly this size, so a
+/// matrix that silently shrinks fails.
+constexpr std::size_t kOriginalBoundaries = 62;
+constexpr std::size_t kEnergyAwareBoundaries = 62;
+
+std::size_t expected_boundaries(browser::PipelineMode mode) {
+  return mode == browser::PipelineMode::kOriginal ? kOriginalBoundaries
+                                                  : kEnergyAwareBoundaries;
+}
+
+TEST(MetroHandoverFixture, HasEveryBoundary) {
+  for (const browser::PipelineMode mode :
+       {browser::PipelineMode::kOriginal,
+        browser::PipelineMode::kEnergyAware}) {
+    EXPECT_EQ(boundaries_for(mode).size(), expected_boundaries(mode))
+        << "mode=" << static_cast<int>(mode);
+  }
+}
+
 TEST(MetroHandoverBoundaryTest, MoveAtEveryFetchSettleLeavesNoResidue) {
   for (const browser::PipelineMode mode :
        {browser::PipelineMode::kOriginal,
         browser::PipelineMode::kEnergyAware}) {
     const std::vector<Seconds> boundaries = boundaries_for(mode);
-    ASSERT_GT(boundaries.size(), 2u);
+    ASSERT_EQ(boundaries.size(), expected_boundaries(mode));
     int handovers = 0;
     for (std::size_t i = 0; i < boundaries.size(); ++i) {
       MetroRig rig(mode);
@@ -168,6 +188,7 @@ TEST(MetroHandoverBoundaryTest, InstantPolicySkipsTheSignallingExchange) {
        {browser::PipelineMode::kOriginal,
         browser::PipelineMode::kEnergyAware}) {
     const std::vector<Seconds> boundaries = boundaries_for(mode);
+    ASSERT_EQ(boundaries.size(), expected_boundaries(mode));
     int handovers = 0;
     for (const Seconds at : boundaries) {
       MetroRig rig(mode);
@@ -189,6 +210,7 @@ TEST(MetroHandoverBoundaryTest, HandoverIntoDarkCellDropsTheSession) {
        {browser::PipelineMode::kOriginal,
         browser::PipelineMode::kEnergyAware}) {
     const std::vector<Seconds> boundaries = boundaries_for(mode);
+    ASSERT_EQ(boundaries.size(), expected_boundaries(mode));
     int drops = 0;
     for (const Seconds at : boundaries) {
       MetroRig rig(mode, /*dark_target=*/true);

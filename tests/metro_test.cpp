@@ -1,5 +1,5 @@
 // Metro layer: the 1-cell zero-mobility metro reproduces run_cell byte for
-// byte, metro runs are shard-count- and execution-tier-invariant, the
+// byte, metro runs are execution-tier-invariant, the
 // mobility ledger conserves UEs and grants, the hotspot apportionment is
 // deterministic, and traced mobility runs audit clean per UE.
 #include "metro/metro.hpp"
@@ -68,7 +68,7 @@ TEST(MetroTest, OneCellZeroMobilityIsByteIdenticalToRunCell) {
 TEST(MetroTest, OneCellTelemetryAndOutagesStillMatchRunCell) {
   // The hard variants of the identity: the shared TickCoordinator must end
   // the tick chain exactly where run_cell's does, and whole-cell outage
-  // scheduling must replay on the same shard at the same instants.
+  // scheduling must replay at the same instants in the same order.
   cell::CellConfig config = small_cell(browser::PipelineMode::kOriginal);
   config.telemetry_tick = 7.0;
   config.cell_outage_count = 2;
@@ -124,22 +124,6 @@ TEST(MetroTest, ZeroDwellMultiCellEqualsIndependentCells) {
   EXPECT_EQ(metro.end_time, max_end);
   for (const cell::CellResult& cr : metro.cells) {
     EXPECT_EQ(cr.end_time, max_end);
-  }
-}
-
-TEST(MetroTest, ShardCountIsInvisibleInTheResultBytes) {
-  MetroConfig config = small_metro(browser::PipelineMode::kEnergyAware);
-  config.cell.users = 8;
-  config.cell.channels = 2;
-  ASSERT_EQ(config.cell.sim_shards, 1);
-  const std::string single = serialize_metro_result(run_metro(config));
-  const MetroResult reference = deserialize_metro_result(single);
-  EXPECT_GT(reference.offered, 0u);
-  EXPECT_GT(reference.reselects + reference.handovers, 0u);
-  for (int shards : {2, 4, 7}) {
-    config.cell.sim_shards = shards;
-    EXPECT_EQ(serialize_metro_result(run_metro(config)), single)
-        << "sim_shards=" << shards;
   }
 }
 
@@ -292,8 +276,8 @@ TEST(MetroTest, BuilderValidatesAtBuild) {
   const cell::CellConfig cell = small_cell(browser::PipelineMode::kOriginal);
   EXPECT_THROW(MetroBuilder().cell(cell).grid(0, 3).build(),
                std::invalid_argument);
-  EXPECT_THROW(MetroBuilder().cell(cell).grid(17, 16).build(),
-               std::invalid_argument);  // 272 shards > engine limit
+  EXPECT_THROW(MetroBuilder().cell(cell).grid(65536, 65536).build(),
+               std::invalid_argument);  // total user count overflows int
   EXPECT_THROW(MetroBuilder().cell(cell).mean_dwell(-1.0).build(),
                std::invalid_argument);
   EXPECT_THROW(MetroBuilder().cell(cell).hotspot(-0.5).build(),

@@ -2,8 +2,8 @@
 // downsampling invariants, exact merge associativity (halves == whole),
 // the crc32-tailed codec (round-trip, truncation, corruption), and the
 // cell-level determinism contract — telemetry off leaves the run untouched,
-// telemetry on never bends the workload, and serial == sharded ==
-// supervised series bit for bit.
+// telemetry on never bends the workload, and serial == supervised series
+// bit for bit.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -363,23 +363,6 @@ TEST(CellTelemetryTest, PerUeSeriesAreOptIn) {
     const TimeSeries* twin = per_ue.telemetry->find(name);
     ASSERT_NE(twin, nullptr) << name;
     EXPECT_TRUE(twin->same_as(series)) << name;
-  }
-}
-
-TEST(CellTelemetryTest, ShardedRunsProduceBitIdenticalSeries) {
-  auto config = telemetry_cell(5.0);
-  ASSERT_EQ(config.sim_shards, 1);
-  const cell::CellResult single = cell::run_cell(config);
-  ASSERT_NE(single.telemetry, nullptr);
-  for (int shards : {2, 4, 7}) {
-    config.sim_shards = shards;
-    const cell::CellResult sharded = cell::run_cell(config);
-    ASSERT_NE(sharded.telemetry, nullptr) << "shards=" << shards;
-    EXPECT_EQ(workload_fingerprint(sharded), workload_fingerprint(single))
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.sim_events, single.sim_events) << "shards=" << shards;
-    EXPECT_EQ(sharded.telemetry->to_bytes(), single.telemetry->to_bytes())
-        << "shards=" << shards;
   }
 }
 

@@ -9,9 +9,7 @@
 // timestamps (order-stamp tie-break), cancels of live / fired / already-
 // cancelled ids (tombstones + stale-handle rejection), events that spawn
 // children from inside their own callback (in-place invoke + slot reuse),
-// oversized captures (OverflowPool), run_until sweeps, bounded run(max),
-// and the sharded multi-queue (whose merge must be bit-identical to the
-// single queue no matter where events land).
+// oversized captures (OverflowPool), run_until sweeps and bounded run(max).
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -160,10 +158,9 @@ std::size_t run_some(ReferenceSim& sim, std::size_t max) {
 /// Replays `ops` random operations against `sim` (either engine).  Every
 /// fifth tag spawns a child from inside its own callback; every seventh tag
 /// drags a ~200-byte payload through the callable (exercising OverflowPool
-/// on the real engine).  `shards`, when the engine supports sharding,
-/// scatters schedules across queues — the merge must hide it completely.
+/// on the real engine).
 template <class SimT>
-Observations replay(SimT& sim, std::uint64_t seed, int ops, int shards) {
+Observations replay(SimT& sim, std::uint64_t seed, int ops) {
   Observations obs;
   std::vector<std::uint64_t> handles;  // dense tags; index = tag - 1
   std::uint64_t next_tag = 1;
@@ -178,9 +175,6 @@ Observations replay(SimT& sim, std::uint64_t seed, int ops, int shards) {
 
   auto schedule = [&](Seconds at) {
     const std::uint64_t tag = next_tag++;
-    if constexpr (requires { sim.set_schedule_shard(0); }) {
-      if (shards > 1) sim.set_schedule_shard(static_cast<int>(tag % shards));
-    }
     std::uint64_t handle;
     if (tag % 7 == 0) {
       // Oversized capture: far past the inline buffer, forcing the pool.
@@ -231,10 +225,10 @@ class SimDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SimDifferential, EngineMatchesNaiveReference) {
   const std::uint64_t seed = GetParam();
   ReferenceSim reference;
-  const Observations expected = replay(reference, seed, 400, 1);
+  const Observations expected = replay(reference, seed, 400);
 
   Simulator engine;
-  const Observations actual = replay(engine, seed, 400, 1);
+  const Observations actual = replay(engine, seed, 400);
 
   ASSERT_EQ(actual.fires.size(), expected.fires.size());
   for (std::size_t i = 0; i < expected.fires.size(); ++i) {
@@ -249,24 +243,6 @@ TEST_P(SimDifferential, EngineMatchesNaiveReference) {
   EXPECT_EQ(actual.cancelled, expected.cancelled);
   EXPECT_EQ(actual.pending_after_drain, 0u);
   EXPECT_EQ(expected.pending_after_drain, 0u);
-}
-
-TEST_P(SimDifferential, ShardedEngineMatchesNaiveReference) {
-  const std::uint64_t seed = GetParam();
-  ReferenceSim reference;
-  const Observations expected = replay(reference, seed, 400, 1);
-
-  // Same sequence, but scattered across 3 queues by tag.  Shard placement
-  // is invisible: the merge fires strictly by (time, order stamp).
-  Simulator engine(3);
-  const Observations actual = replay(engine, seed, 400, 3);
-
-  EXPECT_EQ(actual.fires, expected.fires);
-  EXPECT_EQ(actual.cancel_results, expected.cancel_results);
-  EXPECT_EQ(actual.run_counts, expected.run_counts);
-  EXPECT_DOUBLE_EQ(actual.final_now, expected.final_now);
-  EXPECT_EQ(actual.fired, expected.fired);
-  EXPECT_EQ(actual.cancelled, expected.cancelled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimDifferential,

@@ -401,77 +401,6 @@ TEST(Simulator, OversizedCapturesFireCorrectlyAndRecycleBlocks) {
   EXPECT_EQ(sim.overflow_free_blocks(), free_after_first);
 }
 
-TEST(Simulator, ShardedFireOrderIsGlobal) {
-  // Events scattered across 4 queues still fire strictly by
-  // (time, scheduling order) — placement is invisible.
-  Simulator sim(4);
-  ASSERT_EQ(sim.shard_count(), 4);
-  std::vector<int> order;
-  for (int i = 0; i < 32; ++i) {
-    sim.set_schedule_shard(i % 4);
-    const Seconds at = static_cast<Seconds>((i * 13) % 8);  // many ties
-    sim.schedule_at(at, [&order, i] { order.push_back(i); });
-  }
-  sim.run();
-  ASSERT_EQ(order.size(), 32u);
-  Simulator single;
-  std::vector<int> expected;
-  for (int i = 0; i < 32; ++i) {
-    const Seconds at = static_cast<Seconds>((i * 13) % 8);
-    single.schedule_at(at, [&expected, i] { expected.push_back(i); });
-  }
-  single.run();
-  EXPECT_EQ(order, expected);
-}
-
-TEST(Simulator, ShardedCancelAndPendingDumpSpanShards) {
-  Simulator sim(3);
-  sim.set_schedule_shard(0);
-  sim.schedule_at(1.0, [] {});
-  sim.set_schedule_shard(1);
-  const EventId victim = sim.schedule_at(2.0, [] {});
-  sim.set_schedule_shard(2);
-  sim.schedule_at(3.0, [] {});
-  // Cancel is routed by the handle, not the current schedule shard.
-  sim.set_schedule_shard(0);
-  EXPECT_TRUE(sim.cancel(victim));
-  EXPECT_EQ(sim.pending_count(), 2u);
-  const std::string dump = sim.pending_dump();
-  EXPECT_NE(dump.find("2 live events"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("t=1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("t=3"), std::string::npos) << dump;
-  EXPECT_EQ(dump.find("t=2"), std::string::npos) << dump;
-}
-
-TEST(Simulator, ChildrenInheritTheFiringEventsShard) {
-  Simulator sim(4);
-  sim.set_schedule_shard(2);
-  int child_shard = -1;
-  sim.schedule_at(1.0, [&] {
-    // During execution the schedule shard is the firing event's shard, so
-    // children land beside their parent without explicit routing.
-    EXPECT_EQ(sim.schedule_shard(), 2);
-    sim.schedule_in(1.0, [&] { child_shard = sim.schedule_shard(); });
-  });
-  sim.set_schedule_shard(0);  // the caller's setting is restored after fires
-  sim.run();
-  EXPECT_EQ(child_shard, 2);
-  EXPECT_EQ(sim.schedule_shard(), 0);
-}
-
-TEST(Simulator, ShardConfigurationIsValidatedAndPristineOnly) {
-  Simulator sim;
-  sim.schedule_at(1.0, [] {});
-  EXPECT_THROW(sim.set_shard_count(2), std::logic_error);
-  EXPECT_THROW(Simulator(0), std::invalid_argument);
-  EXPECT_THROW(Simulator(257), std::invalid_argument);
-  Simulator fresh;
-  fresh.set_shard_count(8);
-  EXPECT_EQ(fresh.shard_count(), 8);
-  EXPECT_THROW(fresh.set_schedule_shard(8), std::out_of_range);
-  EXPECT_THROW(fresh.set_schedule_shard(-1), std::out_of_range);
-}
-
 TEST(Simulator, ManyEventsStressOrdering) {
   Simulator sim;
   Seconds last = -1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace eab::web::js {
@@ -456,6 +457,42 @@ TEST(JsInterpreter, DeepScriptIsReportedNotCrashed) {
   EXPECT_NE(result.error.find("nesting too deep"), std::string::npos);
   EXPECT_EQ(result.ops, 0u);
   EXPECT_TRUE(interp.run("var y = 2;").completed);  // the page carries on
+}
+
+TEST_F(JsFixture, CyclicArrayStringifiesLikeJoin) {
+  // The array already being rendered renders as "", as Array.prototype.join
+  // does; the self-reference used to recurse until the stack overflowed.
+  EXPECT_EQ(run_and_get("var a = [1]; push(a, a); var s = '' + a;", "s")
+                .to_string(),
+            "1,");
+  EXPECT_EQ(run_and_get("var b = [a, 2]; var t = '' + b;", "t").to_string(),
+            "1,,2");
+  EXPECT_TRUE(run_and_get("var same = a == a;", "same").truthy());
+  // Reference cycles are never collected; break this one so the test does
+  // not leak.
+  EXPECT_TRUE(interp.run("a[1] = 0;").completed);
+}
+
+TEST(JsInterpreter, DeepArrayStringifyIsReportedNotCrashed) {
+  RecordingHost host;
+  Interpreter interp(host);
+  const RunResult result = interp.run(
+      "var a = []; var i = 0; while (i < 200000) { a = [a]; i = i + 1; }"
+      "var s = '' + a;");
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.error, "value nesting too deep");
+  EXPECT_TRUE(interp.global("s").is_undefined());
+  EXPECT_TRUE(interp.run("var y = 2;").completed);  // the page carries on
+
+  // The limit is exact: kMaxStringifyDepth nested arrays still render.
+  const auto nested = [](std::size_t depth) {
+    return "var d = [7]; var k = 1; while (k < " + std::to_string(depth) +
+           ") { d = [d]; k = k + 1; } var u = '' + d;";
+  };
+  const RunResult at_limit = interp.run(nested(kMaxStringifyDepth));
+  EXPECT_TRUE(at_limit.completed) << at_limit.error;
+  EXPECT_EQ(interp.global("u").to_string(), "7");
+  EXPECT_FALSE(interp.run(nested(kMaxStringifyDepth + 1)).completed);
 }
 
 TEST_F(JsFixture, OutOfRangeIndicesReadAsMissing) {
