@@ -8,22 +8,28 @@
 // All page loads issued from here go through one process-wide BatchRunner:
 // independent loads fan out over a thread pool (EAB_JOBS workers).  Results
 // are in submission order, so every number printed is bit-identical to the
-// old serial loops.
+// old serial loops.  Sweeps that can also run under process supervision go
+// through run_sweep(), which picks the tier from EAB_SUPERVISE.
+//
+// Knobs are read at the call site, straight from the registry in knobs.hpp
+// (`knobs().flag("EAB_TRACE")`, `knobs().u64_or("EAB_FAULT_SEED", seed)`),
+// whose spec is the one description of each knob.  The helpers here only
+// assemble structs from several knobs: supervisor_config_from_env, and
+// outage_plan_from_env, which also rejects overlapping windows.
 #pragma once
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "core/sweep.hpp"
 #include "corpus/page_spec.hpp"
 #include "knobs.hpp"
 #include "obs/audit.hpp"
@@ -41,10 +47,12 @@ inline void print_header(const std::string& figure, const std::string& what) {
   std::printf("==============================================================\n");
 }
 
-/// The process-wide batch engine every harness shares: one thread pool and
-/// one merged metrics registry for the bench's snapshot.
+/// The process-wide batch engine every harness shares: one thread pool of
+/// EAB_JOBS workers (unset: hardware concurrency) and one merged metrics
+/// registry for the bench's snapshot.
 inline core::BatchRunner& shared_runner() {
-  static core::BatchRunner runner;
+  static core::BatchRunner runner(
+      static_cast<int>(knobs().u64_or("EAB_JOBS", 0)));
   return runner;
 }
 
@@ -137,46 +145,6 @@ inline radio::OutagePlan outage_plan_from_env() {
   return plan;
 }
 
-/// Fault-plan seed for the fault benches: EAB_FAULT_SEED overrides the
-/// built-in default so a sweep can be re-rolled without recompiling (the
-/// whole stack stays deterministic for any fixed value).  Unset or empty
-/// falls back to `fallback`; a malformed value is an error (exit 2), never
-/// a silent default.
-inline std::uint64_t fault_seed_from_env(std::uint64_t fallback) {
-  return knobs().u64_or("EAB_FAULT_SEED", fallback);
-}
-
-/// EAB_TRACE=1 turns structured tracing on in the harnesses that honor it:
-/// loads record full traces, every trace is audited, and the process exits
-/// non-zero on any violation.  Off by default (unset, empty or "0"):
-/// tracing never changes results, but the recordings cost memory.  Any
-/// other value is an error (exit 2): "EAB_TRACE=yes" must not silently run
-/// untraced.
-inline bool trace_enabled() { return knobs().flag("EAB_TRACE"); }
-
-/// Chaos sweep width: EAB_CHAOS_SEEDS overrides the default scenario count
-/// (the checked contract runs 256).  Strictly parsed; 0 is rejected — an
-/// empty sweep proves nothing.
-inline int chaos_seed_count_from_env(int fallback) {
-  return static_cast<int>(
-      knobs().u64_or("EAB_CHAOS_SEEDS", static_cast<std::uint64_t>(fallback)));
-}
-
-/// Optional directory for chaos artifacts (EAB_CHAOS_OUT): every shrunk
-/// reproducer found by a sweep is written there as replayable JSON.  Empty
-/// = no dumps.
-inline std::string chaos_out_dir() {
-  return knobs().path_or_empty("EAB_CHAOS_OUT");
-}
-
-/// Optional directory for Chrome-trace dumps (EAB_TRACE_OUT).  When set and
-/// tracing is on, audited recordings are also serialized to
-/// `<dir>/<label>.trace.json` for Perfetto / chrome://tracing.  Empty = no
-/// dumps.
-inline std::string trace_out_dir() {
-  return knobs().path_or_empty("EAB_TRACE_OUT");
-}
-
 /// printf-append into a string: the building block the benches use to
 /// assemble whole JSON artifacts in memory before one crash-safe write.
 inline void appendf(std::string& out, const char* fmt, ...) {
@@ -206,89 +174,51 @@ inline bool write_artifact(const std::string& path, std::string_view contents) {
   return true;
 }
 
-/// EAB_SUPERVISE=1 moves the sweeps that support it (bench_fig11_capacity
-/// --cell) onto the process-level supervision layer: forked workers,
-/// heartbeats, crash restarts, and — with EAB_CHECKPOINT_DIR — durable
-/// resume.  Results are bit-identical either way; "0"/unset/empty keeps the
-/// in-process BatchRunner path.  Anything else exits 2.
-inline bool supervise_enabled() { return knobs().flag("EAB_SUPERVISE"); }
-
-/// EAB_WORKERS: concurrent worker processes for supervised sweeps.  Unset
-/// or empty resolves to hardware_concurrency; malformed or out of [1, 1024]
-/// exits 2.
-inline int workers_from_env() {
-  // 0 = resolve_workers default (hardware concurrency).
-  return static_cast<int>(knobs().u64_or("EAB_WORKERS", 0));
-}
-
-/// EAB_CHECKPOINT_DIR: directory for supervised sweeps' durable checkpoint
-/// journals.  Empty = supervise without durability (no resume).
-inline std::string checkpoint_dir() {
-  return knobs().path_or_empty("EAB_CHECKPOINT_DIR");
-}
-
-/// EAB_SELF_CHAOS: seed for the supervisor's self-chaos kill schedule
-/// (0/unset = off); the crash-recovery soak sets this and byte-compares the
-/// recovered outputs against an uninterrupted run.  Malformed exits 2.
-inline std::uint64_t self_chaos_seed_from_env() {
-  return knobs().u64_or("EAB_SELF_CHAOS", 0);
-}
-
-/// EAB_SELF_CHAOS_KILLS: worker SIGKILLs injected per launch (needs
-/// EAB_SELF_CHAOS).  Capped at 64 — a kill schedule longer than any sweep
-/// is a typo, not a soak.  Malformed exits 2.
-inline int self_chaos_kills_from_env() {
-  return static_cast<int>(knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0));
-}
-
-/// EAB_SELF_CHAOS_ORC=1: additionally SIGKILL the orchestrator itself once,
-/// right after a durable checkpoint commit, on the first launch (needs
-/// EAB_SELF_CHAOS and EAB_CHECKPOINT_DIR).  "0"/unset = off; else exit 2.
-inline bool self_chaos_orchestrator_enabled() {
-  return knobs().flag("EAB_SELF_CHAOS_ORC");
-}
-
-/// EAB_TELEMETRY=1 turns simulated-time telemetry on in the harnesses that
-/// honor it (bench_fig11_capacity --cell): cell runs sample cross-layer
-/// gauges into fixed-budget time series and the bench writes a
-/// BENCH_*.timeseries.json artifact.  Off by default (unset, empty or "0"):
-/// disabled runs are bit-identical — sim_events and every artifact included
-/// — to a build without the telemetry layer.  Anything else exits 2.
-inline bool telemetry_enabled() { return knobs().flag("EAB_TELEMETRY"); }
-
-/// EAB_TELEMETRY_TICK: sampling period in whole simulated seconds (needs
-/// EAB_TELEMETRY=1).  Default 5; malformed or out of [1, 86400] exits 2.
-inline Seconds telemetry_tick_from_env() {
-  return static_cast<Seconds>(knobs().u64_or("EAB_TELEMETRY_TICK", 5));
-}
-
-/// EAB_TELEMETRY_BUDGET: per-series point budget before power-of-two merge
-/// downsampling kicks in.  Default 256; malformed or out of [2, 1048576]
-/// exits 2.
-inline std::size_t telemetry_budget_from_env() {
-  return static_cast<std::size_t>(knobs().u64_or("EAB_TELEMETRY_BUDGET", 256));
-}
-
-/// EAB_PROGRESS=1 turns on the supervisor's live wall-clock progress lines
-/// (stderr, throttled to ~1 Hz).  Off by default; purely observational —
-/// results are bit-identical either way.  Anything else exits 2.
-inline bool progress_enabled() { return knobs().flag("EAB_PROGRESS"); }
-
-/// Assembles the supervised-sweep config from the environment knobs above.
+/// Assembles the supervised-sweep config from the EAB_WORKERS,
+/// EAB_CHECKPOINT_DIR, EAB_SELF_CHAOS* and EAB_PROGRESS knobs.
 /// `journal_name` is the per-sweep journal file under EAB_CHECKPOINT_DIR;
 /// `fingerprint` guards the journal against resumption by a different sweep.
 inline core::SupervisorConfig supervisor_config_from_env(
     const std::string& journal_name, const std::string& fingerprint) {
   core::SupervisorConfig config;
-  config.workers = workers_from_env();
-  const std::string dir = checkpoint_dir();
+  // 0 = Supervisor::resolve_workers' default (hardware concurrency).
+  config.workers = static_cast<int>(knobs().u64_or("EAB_WORKERS", 0));
+  const std::string dir = knobs().path_or_empty("EAB_CHECKPOINT_DIR");
   if (!dir.empty()) config.checkpoint_path = dir + "/" + journal_name;
   config.fingerprint = fingerprint;
-  config.self_chaos_seed = self_chaos_seed_from_env();
-  config.self_chaos_worker_kills = self_chaos_kills_from_env();
-  config.self_chaos_kill_orchestrator = self_chaos_orchestrator_enabled();
-  config.progress = progress_enabled();
+  config.self_chaos_seed = knobs().u64_or("EAB_SELF_CHAOS", 0);
+  config.self_chaos_worker_kills =
+      static_cast<int>(knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0));
+  config.self_chaos_kill_orchestrator = knobs().flag("EAB_SELF_CHAOS_ORC");
+  config.progress = knobs().flag("EAB_PROGRESS");
   return config;
+}
+
+/// Runs one sweep on the execution tier EAB_SUPERVISE selects and hands
+/// that tier to `sweep`, which runs the sweep on it and returns its report.
+/// By default the tier is the shared in-process pool; with EAB_SUPERVISE=1
+/// it is a Supervisor built by supervisor_config_from_env(journal,
+/// fingerprint), whose report goes to stderr, outside the deterministic
+/// output.  Prints every shard error to stderr and returns false if any
+/// shard failed.
+inline bool run_sweep(
+    const std::string& journal, const std::string& fingerprint,
+    const std::function<core::SupervisorReport(const core::SweepExecution&)>&
+        sweep) {
+  core::SupervisorReport report;
+  if (knobs().flag("EAB_SUPERVISE")) {
+    core::Supervisor supervisor(
+        supervisor_config_from_env(journal, fingerprint));
+    report = sweep(core::SweepExecution::supervised(supervisor));
+    std::fprintf(stderr, "%s\n", report.summary().c_str());
+  } else {
+    report = sweep(core::SweepExecution::pooled(shared_runner()));
+  }
+  for (const core::ShardError& e : report.errors) {
+    std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
+                 e.what.c_str());
+  }
+  return report.ok();
 }
 
 /// The auditor inputs for one batched load: the run's own radio config,
@@ -311,7 +241,7 @@ inline int audit_results(const std::vector<core::SingleLoadResult>& results,
                          const core::StackConfig& config,
                          const std::string& label) {
   const obs::TraceAuditor auditor;
-  const std::string out_dir = trace_out_dir();
+  const std::string out_dir = knobs().path_or_empty("EAB_TRACE_OUT");
   std::string file_label = label;  // labels may hold spaces or URL slashes
   for (char& c : file_label) {
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-') c = '_';

@@ -22,7 +22,8 @@ constexpr std::uint64_t kSweepBase = 20260807;
 
 int run() {
   using namespace eab;
-  const int count = bench::chaos_seed_count_from_env(256);
+  const int count =
+      static_cast<int>(bench::knobs().u64_or("EAB_CHAOS_SEEDS", 256));
   bench::print_header("EXT chaos contract",
                       std::to_string(count) +
                           " seeded cross-layer fault scenarios, audited "
@@ -48,7 +49,7 @@ int run() {
   std::printf("invariant fails  %d\n", report.failures);
   std::printf("mean shrink cost %.1f re-runs per finding\n", mean_shrink);
 
-  const std::string out_dir = bench::chaos_out_dir();
+  const std::string out_dir = bench::knobs().path_or_empty("EAB_CHAOS_OUT");
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const chaos::ChaosFinding& finding = report.findings[i];
     std::printf("FINDING seed=%llu atoms=%zu -> minimal=%zu\n",

@@ -20,7 +20,7 @@ int report(const std::string& label, const std::vector<corpus::PageSpec>& specs,
            double paper_saving) {
   auto orig_cfg = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
   auto ea_cfg = core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
-  orig_cfg.trace = ea_cfg.trace = bench::trace_enabled();
+  orig_cfg.trace = ea_cfg.trace = bench::knobs().flag("EAB_TRACE");
 
   const auto orig_results = bench::run_loads(specs, orig_cfg);
   const auto ea_results = bench::run_loads(specs, ea_cfg);

@@ -147,9 +147,11 @@ int run_cell_mode() {
       "EAB_CELL_USERS", static_cast<std::uint64_t>(params.max_users)));
   // Telemetry knobs are parsed strictly even when sampling stays off, so a
   // typo'd EAB_TELEMETRY_TICK dies loudly instead of silently idling.
-  g_telemetry_budget = bench::telemetry_budget_from_env();
-  const Seconds telemetry_tick = bench::telemetry_tick_from_env();
-  if (bench::telemetry_enabled()) g_telemetry_tick = telemetry_tick;
+  g_telemetry_budget = static_cast<std::size_t>(
+      bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", g_telemetry_budget));
+  const auto telemetry_tick =
+      static_cast<Seconds>(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5));
+  if (bench::knobs().flag("EAB_TELEMETRY")) g_telemetry_tick = telemetry_tick;
   // Radio-failure knobs: EAB_OUTAGE_* drives each UE's own coverage process,
   // EAB_CELL_OUTAGE_* schedules whole-cell blackouts.  Both default off; any
   // default combination keeps stdout and every artifact byte-identical.
@@ -204,92 +206,50 @@ int run_cell_mode() {
                 params.cell_outage_period, params.cell_outage_duration);
   }
 
-  // The co-simulated curves.  Default: the users-axis sweep shards across
-  // the shared BatchRunner's threads (bit-identical to a serial loop for
-  // any EAB_JOBS).  EAB_SUPERVISE=1: the same sweep fans out over forked,
-  // heartbeat-supervised worker processes — one shard per (mode, point),
-  // Original first — with durable checkpoint resume under
-  // EAB_CHECKPOINT_DIR; stdout, BENCH_cell.json and the metrics snapshot
-  // are byte-identical to the in-process path (the supervision report goes
-  // to stderr, outside the deterministic output).
-  std::vector<cell::CellResult> orig_results(users_axis.size());
-  std::vector<cell::CellResult> ea_results(users_axis.size());
-  if (bench::supervise_enabled()) {
-    std::string fingerprint = "fig11-cell v1";
-    bench::appendf(fingerprint,
-                   " seed=%llu channels=%d horizon=%.17g target=%.17g",
-                   static_cast<unsigned long long>(params.seed),
-                   params.channels, params.horizon, params.target);
-    if (g_telemetry_tick > 0) {
-      // Only when sampling is on: a telemetry-off supervised run keeps the
-      // exact pre-telemetry fingerprint, so its journals stay resumable.
-      bench::appendf(fingerprint, " telemetry_tick=%.17g telemetry_budget=%zu",
-                     g_telemetry_tick, g_telemetry_budget);
-    }
-    if (params.ue_outage.enabled()) {
-      // Same convention as telemetry: an outage-off run keeps the exact
-      // pre-outage fingerprint, so existing journals stay resumable.
-      bench::appendf(fingerprint,
-                     " ue_outage=%d:%.17g:%.17g:%.17g:%.17g:%llu",
-                     params.ue_outage.count, params.ue_outage.start,
-                     params.ue_outage.period, params.ue_outage.duration,
-                     params.ue_outage.reestablish_fail_rate,
-                     static_cast<unsigned long long>(params.ue_outage.seed));
-    }
-    if (params.cell_outage_count > 0) {
-      bench::appendf(fingerprint, " cell_outage=%d:%.17g:%.17g:%.17g",
-                     params.cell_outage_count, params.cell_outage_start,
-                     params.cell_outage_period, params.cell_outage_duration);
-    }
-    for (const int users : users_axis) {
-      bench::appendf(fingerprint, " u%d", users);
-    }
-    core::Supervisor supervisor(
-        bench::supervisor_config_from_env("fig11_cell.journal", fingerprint));
-    // One supervised run covers both modes: shard i < n is the Original
-    // curve's i-th point, shard n + i the energy-aware one's.
-    const std::size_t n = users_axis.size();
-    std::vector<int> both_axis(users_axis);
-    both_axis.insert(both_axis.end(), users_axis.begin(), users_axis.end());
-    cell::CellConfig base =
-        cell_config(browser::PipelineMode::kOriginal, params);
-    const cell::CellConfig ea_base =
-        cell_config(browser::PipelineMode::kEnergyAware, params);
-    const auto report = supervisor.run(
-        2 * n,
-        [&](std::size_t shard) {
-          cell::CellConfig config = shard < n ? base : ea_base;
-          config.users = both_axis[shard];
-          return cell::serialize_cell_result(cell::run_cell(config));
-        },
-        [&](std::size_t shard, std::string_view payload) {
-          cell::CellResult result = cell::deserialize_cell_result(payload);
-          if (shard < n) {
-            orig_results[shard] = std::move(result);
-          } else {
-            ea_results[shard - n] = std::move(result);
-          }
+  // The co-simulated curves: one users-axis sweep per mode, Original first,
+  // on the tier bench::run_sweep picks.  Default: the shared BatchRunner's
+  // threads (bit-identical to a serial loop for any EAB_JOBS).
+  // EAB_SUPERVISE=1: forked, heartbeat-supervised worker processes, one
+  // shard per users point, with durable checkpoint resume from a per-mode
+  // journal under EAB_CHECKPOINT_DIR.  stdout, BENCH_cell.json and the
+  // metrics snapshot are byte-identical on every tier (the supervision
+  // report goes to stderr, outside the deterministic output).  Each
+  // journal's fingerprint names its mode and every input of the sweep.
+  const radio::OutagePlan& ue = params.ue_outage;
+  std::string config_fingerprint;
+  bench::appendf(config_fingerprint,
+                 " seed=%llu channels=%d horizon=%.17g target=%.17g"
+                 " telemetry=%.17g:%zu ue_outage=%d:%.17g:%.17g:%.17g:%.17g:%llu"
+                 " cell_outage=%d:%.17g:%.17g:%.17g",
+                 static_cast<unsigned long long>(params.seed), params.channels,
+                 params.horizon, params.target, g_telemetry_tick,
+                 g_telemetry_budget, ue.count, ue.start, ue.period, ue.duration,
+                 ue.reestablish_fail_rate,
+                 static_cast<unsigned long long>(ue.seed),
+                 params.cell_outage_count, params.cell_outage_start,
+                 params.cell_outage_period, params.cell_outage_duration);
+  for (const int users : users_axis) {
+    bench::appendf(config_fingerprint, " u%d", users);
+  }
+  const auto sweep_mode = [&](const char* label, browser::PipelineMode mode,
+                              std::vector<cell::CellResult>& out) {
+    out.assign(users_axis.size(), cell::CellResult{});
+    return bench::run_sweep(
+        std::string("fig11_cell_") + label + ".journal",
+        std::string("fig11-cell v2 mode=") + label + config_fingerprint,
+        [&](const core::SweepExecution& exec) {
+          return cell::run_cell_sweep(
+              cell_config(mode, params), users_axis, exec,
+              [&](std::size_t i, const cell::CellResult& result) {
+                out[i] = result;
+              });
         });
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
-    if (!report.ok()) {
-      for (const core::ShardError& e : report.errors) {
-        std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
-                     e.what.c_str());
-      }
-      return 1;
-    }
-  } else {
-    const auto pooled = core::SweepExecution::pooled(bench::shared_runner());
-    cell::run_cell_sweep(
-        cell_config(browser::PipelineMode::kOriginal, params), users_axis,
-        pooled, [&](std::size_t i, const cell::CellResult& result) {
-          orig_results[i] = result;
-        });
-    cell::run_cell_sweep(
-        cell_config(browser::PipelineMode::kEnergyAware, params), users_axis,
-        pooled, [&](std::size_t i, const cell::CellResult& result) {
-          ea_results[i] = result;
-        });
+  };
+  std::vector<cell::CellResult> orig_results;
+  std::vector<cell::CellResult> ea_results;
+  if (!sweep_mode("orig", browser::PipelineMode::kOriginal, orig_results) ||
+      !sweep_mode("ea", browser::PipelineMode::kEnergyAware, ea_results)) {
+    return 1;
   }
 
   // The abstract model, scaled to the same small cell, for the side-by-side
@@ -412,8 +372,8 @@ int run_cell_mode() {
   // Cross-layer time series per (mode, users point) — only when sampling is
   // on, so the telemetry-off artifact set is byte-identical to a build
   // without the telemetry layer.  The series came through the same path the
-  // sweep results did (in-process, sharded or supervised deserialization),
-  // so this JSON is byte-identical across all three execution modes.
+  // sweep results did (in-process or supervised deserialization), so this
+  // JSON is byte-identical on every tier.
   if (g_telemetry_tick > 0) {
     std::string ts;
     bench::appendf(ts, "{\n  \"tick_s\": %.17g,\n  \"point_budget\": %zu,\n",

@@ -111,48 +111,33 @@ metro::MetroConfig metro_config(browser::PipelineMode mode,
       .build();
 }
 
-/// Runs the per-cell-users sweep for one mode through the selected
-/// execution tier, folding each result into a PointSummary on arrival.
-/// Returns false (after printing the shard errors) if supervision failed.
+/// Runs the per-cell-users sweep for one mode on the tier bench::run_sweep
+/// picks, folding each result into a PointSummary on arrival.  Returns
+/// false if a supervised shard failed.
 bool sweep_mode(const char* label, const metro::MetroConfig& base,
                 const std::vector<int>& users_axis, const MetroParams& params,
                 std::vector<PointSummary>& out) {
   out.assign(users_axis.size(), PointSummary{});
-  const auto consume = [&](std::size_t i, const metro::MetroResult& result) {
-    out[i] = summarize(users_axis[i], result);
-  };
-  core::SupervisorReport report;
-  if (bench::supervise_enabled()) {
-    std::string fingerprint = "metro v1";
-    bench::appendf(fingerprint,
-                   " mode=%s grid=%dx%d seed=%llu horizon=%.17g"
-                   " dwell=%.17g hotspot=%.17g policy=%s",
-                   label, params.grid_w, params.grid_h,
-                   static_cast<unsigned long long>(params.seed),
-                   params.horizon, params.dwell,
-                   params.hotspot, metro::to_string(params.policy));
-    for (const int users : users_axis) {
-      bench::appendf(fingerprint, " u%d", users);
-    }
-    core::Supervisor supervisor(bench::supervisor_config_from_env(
-        std::string("metro_") + label + ".journal", fingerprint));
-    report = metro::run_metro_sweep(
-        base, users_axis, core::SweepExecution::supervised(supervisor),
-        consume);
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
-  } else {
-    report = metro::run_metro_sweep(
-        base, users_axis, core::SweepExecution::pooled(bench::shared_runner()),
-        consume);
+  std::string fingerprint = "metro v1";
+  bench::appendf(fingerprint,
+                 " mode=%s grid=%dx%d seed=%llu horizon=%.17g"
+                 " dwell=%.17g hotspot=%.17g policy=%s",
+                 label, params.grid_w, params.grid_h,
+                 static_cast<unsigned long long>(params.seed), params.horizon,
+                 params.dwell, params.hotspot,
+                 metro::to_string(params.policy));
+  for (const int users : users_axis) {
+    bench::appendf(fingerprint, " u%d", users);
   }
-  if (!report.ok()) {
-    for (const core::ShardError& e : report.errors) {
-      std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
-                   e.what.c_str());
-    }
-    return false;
-  }
-  return true;
+  return bench::run_sweep(
+      std::string("metro_") + label + ".journal", fingerprint,
+      [&](const core::SweepExecution& exec) {
+        return metro::run_metro_sweep(
+            base, users_axis, exec,
+            [&](std::size_t i, const metro::MetroResult& result) {
+              out[i] = summarize(users_axis[i], result);
+            });
+      });
 }
 
 }  // namespace

@@ -106,7 +106,8 @@ Overhead measure_overhead(const Off& off, const On& on) {
 /// runs.
 std::vector<core::SingleLoadResult> run_sweep(
     const std::vector<core::BatchJob>& jobs) {
-  core::BatchRunner runner;
+  core::BatchRunner runner(
+      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   return runner.run(jobs);
 }
 

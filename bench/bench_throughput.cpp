@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   const double serial_s = seconds_since(serial_start);
 
   // Parallel: the same jobs through the pool.
-  core::BatchRunner runner;
+  core::BatchRunner runner(
+      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   const auto parallel_start = Clock::now();
   const auto parallel = runner.run(jobs);
   const double parallel_s = seconds_since(parallel_start);

@@ -9,10 +9,9 @@
 // registry.  Asking for an unregistered knob aborts: a getter call site
 // cannot invent an undocumented override.
 //
-// The registry deliberately changes NO observable behavior: the diagnostics
-// (format, expected-text, exit code 2) are byte-identical to the old
-// scattered parse_env_u64/f64 call sites, and core_batch_test's death tests
-// pin them.
+// Call sites read their knobs straight from here; the spec's doc string is
+// each knob's one description.  core_batch_test walks every spec and checks
+// its bounds and its exit-2 diagnostic.
 #pragma once
 
 #include <cctype>
@@ -209,9 +208,10 @@ class KnobRegistry {
               "bit-identical either way");
 
     // Parallel / supervised execution.
-    u64_knob("EAB_JOBS", "hardware concurrency", "a worker thread count",
+    u64_knob("EAB_JOBS", "hardware concurrency",
+             "a worker thread count in [1, 1024]",
              "worker threads for the in-process batch runner "
-             "(results are bit-identical for any value)", 0, kU64Max);
+             "(results are bit-identical for any value)", 1, 1024);
     flag_knob("EAB_SUPERVISE",
               "run supporting sweeps under forked, heartbeat-supervised "
               "worker processes (bit-identical results)");

@@ -44,7 +44,8 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_batch_test
-# Force multiple workers even on small machines so the pool is exercised.
+# The tests pin their own pools; EAB_JOBS=4 sizes the shared bench runner
+# (RunSweep, RunBenchmark) so it is a real pool even on small machines.
 EAB_JOBS=4 ./build-tsan/tests/core_batch_test
 
 echo "== ASan: fault-path tests under -fsanitize=address =="

@@ -1,7 +1,6 @@
 #include "core/batch.hpp"
 
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -73,13 +72,6 @@ class BatchRunner::Pool {
 
 int BatchRunner::resolve_jobs(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("EAB_JOBS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0 && value <= 1024) {
-      return static_cast<int>(value);
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

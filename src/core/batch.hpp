@@ -44,8 +44,8 @@ struct JobError {
 /// Fixed-size thread pool for batches of single-load jobs.
 class BatchRunner {
  public:
-  /// `jobs` > 0 pins the worker count; 0 resolves it from the EAB_JOBS
-  /// environment variable, falling back to hardware_concurrency().  A runner
+  /// `jobs` > 0 pins the worker count; 0 means hardware_concurrency().  The
+  /// benches resolve EAB_JOBS (strictly parsed) and pass it in.  A runner
   /// with one worker executes jobs inline on the calling thread.
   explicit BatchRunner(int jobs = 0);
   ~BatchRunner();
@@ -84,7 +84,7 @@ class BatchRunner {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   void clear_metrics() { metrics_ = {}; }
 
-  /// EAB_JOBS / hardware_concurrency resolution (exposed for tests).
+  /// `requested` if positive, else hardware_concurrency() (at least 1).
   static int resolve_jobs(int requested);
 
  private:

@@ -54,9 +54,6 @@ SessionConfig ScenarioBuilder::build_session(SessionPolicy policy) const {
   SessionConfig config;
   config.stack = checked.stack;
   config.policy = policy;
-  // Unified defaults: the session consumes the same chaos directive for RIL
-  // socket failures instead of a silently separate knob.
-  config.ril_socket_failures = checked.stack.chaos.ril_socket_failures;
   return config;
 }
 

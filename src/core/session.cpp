@@ -61,7 +61,8 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
   net::SharedLink link(sim, config.stack.link.dch_bandwidth);
   browser::CpuScheduler cpu(sim, config.stack.power.cpu_busy_extra);
   RilStateSwitcher ril(sim, rrc);
-  if (config.ril_socket_failures > 0) ril.fail_next(config.ril_socket_failures);
+  const int ril_failures = config.stack.chaos.ril_socket_failures;
+  if (ril_failures > 0) ril.fail_next(ril_failures);
   net::ResourceCache cache(config.stack.browser_cache_bytes);
 
   // One injector for the whole session: fade windows are absolute-time

@@ -44,10 +44,6 @@ struct SessionConfig {
   /// Algorithm 2's parameters (kAlgorithm2 only): Td, Tp and the
   /// power-driven / delay-driven mode switch.
   ControllerParams controller;
-  /// Failure injection: the first `ril_socket_failures` switch-to-IDLE
-  /// requests die at the framework->rild socket hop (a crashed/restarting
-  /// rild).  The radio must then demote via its T1/T2 timers alone.
-  int ril_socket_failures = 0;
   /// Optional structured tracing: when set (caller-owned, must outlive the
   /// run), every layer of the session stack — radio, link, every per-page
   /// client and pipeline, the RIL chain and the policy itself — records into

@@ -70,6 +70,14 @@ using Object = std::map<std::string, Value, std::less<>>;
 /// instead of allocating a billion values.
 constexpr std::size_t kMaxArrayLength = std::size_t{1} << 20;
 
+/// Longest string a script may build (4 MiB).  Concatenation, or rendering
+/// an array as text, past it fails the script with JsError("string too
+/// long"): a few hundred ops of `s = s + s`, or of `a = [a, a]` and then
+/// `'' + a`, would otherwise double a string until memory runs out.  Corpus
+/// scripts build at most 104 bytes, web_js_differential_test's random
+/// programs 1,109,991.
+constexpr std::size_t kMaxStringLength = std::size_t{1} << 22;
+
 /// Deepest array nesting Value::to_string() renders.  One level more throws
 /// JsError("value nesting too deep") and fails the script: a value that deep
 /// comes from a runaway loop, not a page.  (The walk keeps its path on the
@@ -160,7 +168,8 @@ class Value {
   double to_number() const;
   /// Arrays join their elements with ","; an array already being rendered
   /// further up (a cycle) renders as "", as Array.prototype.join does.
-  /// Throws JsError past kMaxStringifyDepth nested arrays.
+  /// Throws JsError past kMaxStringifyDepth nested arrays, or once the text
+  /// grows past kMaxStringLength.
   std::string to_string() const;
   /// Appends to_string() of this array to `out`; type() must be kArray.
   void append_array_to(std::string& out) const;

@@ -237,6 +237,9 @@ void Value::append_array_to(std::string& out) const {
   };
   enter(payload_.cell);
   while (!path.frames.empty()) {
+    // Checked after every append: each is followed by one more pass at
+    // least, the pop of its frame.
+    if (out.size() > kMaxStringLength) throw JsError("string too long");
     Frame& frame = path.frames.back();
     if (frame.next == frame.cell->items.size()) {
       frame.cell->rendering = false;
@@ -721,6 +724,7 @@ class Interpreter::Evaluator {
     std::string out;
     append(out, lhs);
     append(out, rhs);
+    if (out.size() > kMaxStringLength) throw JsError("string too long");
     return Value::string(std::move(out));
   }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -80,8 +87,9 @@ TEST(BatchRunner, ParallelMatchesSerialElementwise) {
 }
 
 TEST(BatchRunner, EabJobsOneDegradesToSerial) {
+  // The benches size their runners from EAB_JOBS exactly like this.
   ASSERT_EQ(setenv("EAB_JOBS", "1", 1), 0);
-  BatchRunner runner;  // resolves from the environment
+  BatchRunner runner(static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   unsetenv("EAB_JOBS");
   EXPECT_EQ(runner.threads(), 1);
 
@@ -97,13 +105,13 @@ TEST(BatchRunner, EabJobsOneDegradesToSerial) {
 }
 
 TEST(BatchRunner, ResolveJobsPrecedence) {
+  EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);  // explicit request wins
+  const int hardware = BatchRunner::resolve_jobs(0);
+  EXPECT_GE(hardware, 1);
+  // The library never reads EAB_JOBS; only the benches do, strictly.
   ASSERT_EQ(setenv("EAB_JOBS", "3", 1), 0);
-  EXPECT_EQ(BatchRunner::resolve_jobs(0), 3);   // env wins when unpinned
-  EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);   // explicit request wins
-  ASSERT_EQ(setenv("EAB_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(BatchRunner::resolve_jobs(0), 1);   // garbage falls back
+  EXPECT_EQ(BatchRunner::resolve_jobs(0), hardware);
   unsetenv("EAB_JOBS");
-  EXPECT_GE(BatchRunner::resolve_jobs(0), 1);
 }
 
 TEST(BatchRunner, EmptyBatchReturnsEmpty) {
@@ -216,192 +224,6 @@ TEST(EnvParsing, ParseEnvU64IsStrict) {
   EXPECT_FALSE(bench::parse_env_u64("18446744073709551616", out));  // 2^64
 }
 
-TEST(EnvParsing, WellFormedOverridesAreHonored) {
-  setenv("EAB_FAULT_SEED", "12345", 1);
-  EXPECT_EQ(bench::fault_seed_from_env(7), 12345u);
-  unsetenv("EAB_FAULT_SEED");
-  EXPECT_EQ(bench::fault_seed_from_env(7), 7u);
-
-  setenv("EAB_TRACE", "1", 1);
-  EXPECT_TRUE(bench::trace_enabled());
-  setenv("EAB_TRACE", "0", 1);
-  EXPECT_FALSE(bench::trace_enabled());
-  unsetenv("EAB_TRACE");
-  EXPECT_FALSE(bench::trace_enabled());
-
-  setenv("EAB_CHAOS_SEEDS", "32", 1);
-  EXPECT_EQ(bench::chaos_seed_count_from_env(256), 32);
-  unsetenv("EAB_CHAOS_SEEDS");
-  EXPECT_EQ(bench::chaos_seed_count_from_env(256), 256);
-}
-
-TEST(EnvParsingDeathTest, MalformedFaultSeedDiesLoudly) {
-  setenv("EAB_FAULT_SEED", "12bananas", 1);
-  EXPECT_EXIT(bench::fault_seed_from_env(7), ::testing::ExitedWithCode(2),
-              "EAB_FAULT_SEED");
-  unsetenv("EAB_FAULT_SEED");
-}
-
-TEST(EnvParsingDeathTest, MalformedTraceFlagDiesLoudly) {
-  setenv("EAB_TRACE", "yes", 1);
-  EXPECT_EXIT(bench::trace_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_TRACE");
-  unsetenv("EAB_TRACE");
-}
-
-TEST(EnvParsingDeathTest, ZeroChaosSeedsDiesLoudly) {
-  setenv("EAB_CHAOS_SEEDS", "0", 1);
-  EXPECT_EXIT(bench::chaos_seed_count_from_env(256),
-              ::testing::ExitedWithCode(2), "EAB_CHAOS_SEEDS");
-  unsetenv("EAB_CHAOS_SEEDS");
-}
-
-TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
-  setenv("EAB_SUPERVISE", "1", 1);
-  EXPECT_TRUE(bench::supervise_enabled());
-  setenv("EAB_SUPERVISE", "0", 1);
-  EXPECT_FALSE(bench::supervise_enabled());
-  unsetenv("EAB_SUPERVISE");
-  EXPECT_FALSE(bench::supervise_enabled());
-
-  setenv("EAB_WORKERS", "8", 1);
-  EXPECT_EQ(bench::workers_from_env(), 8);
-  unsetenv("EAB_WORKERS");
-  EXPECT_EQ(bench::workers_from_env(), 0);  // 0 = resolve_workers default
-
-  setenv("EAB_SELF_CHAOS", "12345", 1);
-  EXPECT_EQ(bench::self_chaos_seed_from_env(), 12345u);
-  unsetenv("EAB_SELF_CHAOS");
-  EXPECT_EQ(bench::self_chaos_seed_from_env(), 0u);
-
-  setenv("EAB_SELF_CHAOS_KILLS", "4", 1);
-  EXPECT_EQ(bench::self_chaos_kills_from_env(), 4);
-  unsetenv("EAB_SELF_CHAOS_KILLS");
-  EXPECT_EQ(bench::self_chaos_kills_from_env(), 0);
-
-  setenv("EAB_SELF_CHAOS_ORC", "1", 1);
-  EXPECT_TRUE(bench::self_chaos_orchestrator_enabled());
-  unsetenv("EAB_SELF_CHAOS_ORC");
-  EXPECT_FALSE(bench::self_chaos_orchestrator_enabled());
-
-  setenv("EAB_CHECKPOINT_DIR", "/tmp/ckpt", 1);
-  setenv("EAB_WORKERS", "3", 1);
-  const auto config =
-      bench::supervisor_config_from_env("sweep.journal", "fp-v1");
-  EXPECT_EQ(config.checkpoint_path, "/tmp/ckpt/sweep.journal");
-  EXPECT_EQ(config.fingerprint, "fp-v1");
-  EXPECT_EQ(config.workers, 3);
-  unsetenv("EAB_CHECKPOINT_DIR");
-  unsetenv("EAB_WORKERS");
-  EXPECT_TRUE(
-      bench::supervisor_config_from_env("sweep.journal", "fp-v1")
-          .checkpoint_path.empty());
-}
-
-TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
-  setenv("EAB_SUPERVISE", "yes", 1);
-  EXPECT_EXIT(bench::supervise_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_SUPERVISE");
-  unsetenv("EAB_SUPERVISE");
-}
-
-TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
-  setenv("EAB_WORKERS", "0", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
-  setenv("EAB_WORKERS", "2000", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
-  setenv("EAB_WORKERS", "two", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
-  unsetenv("EAB_WORKERS");
-}
-
-TEST(EnvParsingDeathTest, MalformedSelfChaosSeedDiesLoudly) {
-  setenv("EAB_SELF_CHAOS", "-1", 1);
-  EXPECT_EXIT(bench::self_chaos_seed_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_SELF_CHAOS");
-  unsetenv("EAB_SELF_CHAOS");
-}
-
-TEST(EnvParsingDeathTest, OversizedSelfChaosKillsDiesLoudly) {
-  setenv("EAB_SELF_CHAOS_KILLS", "65", 1);
-  EXPECT_EXIT(bench::self_chaos_kills_from_env(),
-              ::testing::ExitedWithCode(2), "EAB_SELF_CHAOS_KILLS");
-  unsetenv("EAB_SELF_CHAOS_KILLS");
-}
-
-TEST(EnvParsingDeathTest, MalformedOrchestratorChaosFlagDiesLoudly) {
-  setenv("EAB_SELF_CHAOS_ORC", "maybe", 1);
-  EXPECT_EXIT(bench::self_chaos_orchestrator_enabled(),
-              ::testing::ExitedWithCode(2), "EAB_SELF_CHAOS_ORC");
-  unsetenv("EAB_SELF_CHAOS_ORC");
-}
-
-TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
-  setenv("EAB_TELEMETRY", "1", 1);
-  EXPECT_TRUE(bench::telemetry_enabled());
-  setenv("EAB_TELEMETRY", "0", 1);
-  EXPECT_FALSE(bench::telemetry_enabled());
-  unsetenv("EAB_TELEMETRY");
-  EXPECT_FALSE(bench::telemetry_enabled());
-
-  setenv("EAB_TELEMETRY_TICK", "10", 1);
-  EXPECT_EQ(bench::telemetry_tick_from_env(), 10.0);
-  unsetenv("EAB_TELEMETRY_TICK");
-  EXPECT_EQ(bench::telemetry_tick_from_env(), 5.0);
-
-  setenv("EAB_TELEMETRY_BUDGET", "1024", 1);
-  EXPECT_EQ(bench::telemetry_budget_from_env(), 1024u);
-  unsetenv("EAB_TELEMETRY_BUDGET");
-  EXPECT_EQ(bench::telemetry_budget_from_env(), 256u);
-
-  setenv("EAB_PROGRESS", "1", 1);
-  EXPECT_TRUE(bench::progress_enabled());
-  setenv("EAB_PROGRESS", "0", 1);
-  EXPECT_FALSE(bench::progress_enabled());
-  unsetenv("EAB_PROGRESS");
-  EXPECT_FALSE(bench::progress_enabled());
-}
-
-TEST(EnvParsingDeathTest, MalformedTelemetryFlagDiesLoudly) {
-  setenv("EAB_TELEMETRY", "yes", 1);
-  EXPECT_EXIT(bench::telemetry_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY");
-  unsetenv("EAB_TELEMETRY");
-}
-
-TEST(EnvParsingDeathTest, OutOfRangeTelemetryTickDiesLoudly) {
-  setenv("EAB_TELEMETRY_TICK", "0", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
-  setenv("EAB_TELEMETRY_TICK", "86401", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
-  setenv("EAB_TELEMETRY_TICK", "5s", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
-  unsetenv("EAB_TELEMETRY_TICK");
-}
-
-TEST(EnvParsingDeathTest, OutOfRangeTelemetryBudgetDiesLoudly) {
-  setenv("EAB_TELEMETRY_BUDGET", "1", 1);
-  EXPECT_EXIT(bench::telemetry_budget_from_env(),
-              ::testing::ExitedWithCode(2), "EAB_TELEMETRY_BUDGET");
-  setenv("EAB_TELEMETRY_BUDGET", "1048577", 1);
-  EXPECT_EXIT(bench::telemetry_budget_from_env(),
-              ::testing::ExitedWithCode(2), "EAB_TELEMETRY_BUDGET");
-  unsetenv("EAB_TELEMETRY_BUDGET");
-}
-
-TEST(EnvParsingDeathTest, MalformedProgressFlagDiesLoudly) {
-  setenv("EAB_PROGRESS", "on", 1);
-  EXPECT_EXIT(bench::progress_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_PROGRESS");
-  unsetenv("EAB_PROGRESS");
-}
-
 TEST(EnvParsing, ParseEnvF64IsStrict) {
   double out = 0;
   EXPECT_TRUE(bench::parse_env_f64("2", out));
@@ -422,6 +244,200 @@ TEST(EnvParsing, ParseEnvF64IsStrict) {
   EXPECT_FALSE(bench::parse_env_f64("inf", out));
   EXPECT_FALSE(bench::parse_env_f64("nan", out));
   EXPECT_FALSE(bench::parse_env_f64("1e999", out));
+}
+
+std::string f64_text(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.17g", value);
+  return text;
+}
+
+/// Reads `spec`'s knob through its typed getter (unset: the type's zero),
+/// rendered as text so one comparison serves every type.
+std::string read_knob(const bench::KnobSpec& spec) {
+  const bench::KnobRegistry& knobs = bench::knobs();
+  switch (spec.type) {
+    case bench::KnobType::kFlag: return knobs.flag(spec.name) ? "1" : "0";
+    case bench::KnobType::kU64:
+      return std::to_string(knobs.u64_or(spec.name, 0));
+    case bench::KnobType::kF64: return f64_text(knobs.f64_or(spec.name, 0));
+    case bench::KnobType::kPath: return knobs.path_or_empty(spec.name);
+  }
+  return "";
+}
+
+/// Sets knob `name` to each of `values` in turn; each must read back as
+/// itself.
+void expect_accepted(const char* name, const std::vector<std::string>& values) {
+  for (const std::string& raw : values) {
+    setenv(name, raw.c_str(), 1);
+    EXPECT_EQ(read_knob(bench::knobs().require(name)), raw) << name;
+  }
+  unsetenv(name);
+}
+
+/// Sets knob `name` to each of `values` in turn; reading each must exit 2
+/// with the diagnostic naming the knob, the value and the spec's expected
+/// text.
+void expect_rejected(const char* name, const std::vector<std::string>& values) {
+  const bench::KnobSpec& spec = bench::knobs().require(name);
+  for (const std::string& raw : values) {
+    setenv(name, raw.c_str(), 1);
+    std::string regex;  // the diagnostic, matched literally
+    for (const char c : "error: " + std::string(name) + "=\"" + raw +
+                            "\" is invalid; expected " + spec.expected) {
+      if (std::strchr(".[](){}*+?|^$\\", c) != nullptr) regex += '\\';
+      regex += c;
+    }
+    EXPECT_EXIT(read_knob(spec), ::testing::ExitedWithCode(2), regex)
+        << name << "=" << raw;
+  }
+  unsetenv(name);
+}
+
+TEST(EnvParsingDeathTest, EveryRegisteredKnobIsStrict) {
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  for (const bench::KnobSpec& spec : bench::KnobRegistry::instance().specs()) {
+    // The bound edges in and out, plus one malformed value per type.
+    std::vector<std::string> accepted;
+    std::vector<std::string> rejected;
+    switch (spec.type) {
+      case bench::KnobType::kFlag:
+        accepted = {"0", "1"};
+        rejected = {"yes", "2"};
+        break;
+      case bench::KnobType::kU64:
+        accepted = {std::to_string(spec.u64_min),
+                    std::to_string(spec.u64_max)};
+        rejected = {"12x"};
+        if (spec.u64_min > 0) {
+          rejected.push_back(std::to_string(spec.u64_min - 1));
+        }
+        if (spec.u64_max < kU64Max) {
+          rejected.push_back(std::to_string(spec.u64_max + 1));
+        }
+        break;
+      case bench::KnobType::kF64:
+        accepted = {spec.f64_positive ? f64_text(1e-9) : "0"};
+        rejected = {"1.5s"};
+        if (spec.f64_positive) rejected.push_back("0");
+        if (std::isfinite(spec.f64_max)) {
+          accepted.push_back(f64_text(spec.f64_max));
+          rejected.push_back(f64_text(
+              std::nextafter(spec.f64_max, std::numeric_limits<double>::max())));
+        }
+        break;
+      case bench::KnobType::kPath:
+        accepted = {"/tmp/knob dir"};  // free-form: nothing is malformed
+        break;
+    }
+    expect_accepted(spec.name, accepted);
+    expect_rejected(spec.name, rejected);
+    // Unset reads as the caller's fallback.
+    EXPECT_EQ(read_knob(spec), spec.type == bench::KnobType::kPath ? "" : "0")
+        << spec.name;
+  }
+}
+
+TEST(EnvParsing, WellFormedOverridesAreHonored) {
+  expect_accepted("EAB_FAULT_SEED", {"12345"});
+  expect_accepted("EAB_TRACE", {"1", "0"});
+  expect_accepted("EAB_CHAOS_SEEDS", {"32"});
+  EXPECT_EQ(bench::knobs().u64_or("EAB_FAULT_SEED", 7), 7u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_CHAOS_SEEDS", 256), 256u);
+  EXPECT_FALSE(bench::knobs().flag("EAB_TRACE"));
+}
+
+TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
+  expect_accepted("EAB_TELEMETRY", {"1", "0"});
+  expect_accepted("EAB_TELEMETRY_TICK", {"10"});
+  expect_accepted("EAB_TELEMETRY_BUDGET", {"1024"});
+  expect_accepted("EAB_PROGRESS", {"1", "0"});
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5), 5u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256), 256u);
+}
+
+// Values each knob's users have typed by mistake; every one must exit 2.
+TEST(EnvParsingDeathTest, MalformedFaultSeedDiesLoudly) {
+  expect_rejected("EAB_FAULT_SEED", {"12bananas"});
+}
+
+TEST(EnvParsingDeathTest, MalformedTraceFlagDiesLoudly) {
+  expect_rejected("EAB_TRACE", {"yes"});
+}
+
+TEST(EnvParsingDeathTest, ZeroChaosSeedsDiesLoudly) {
+  expect_rejected("EAB_CHAOS_SEEDS", {"0"});
+}
+
+TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
+  expect_rejected("EAB_SUPERVISE", {"yes"});
+}
+
+TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
+  expect_rejected("EAB_WORKERS", {"0", "2000", "two"});
+}
+
+TEST(EnvParsingDeathTest, MalformedJobCountDiesLoudly) {
+  expect_rejected("EAB_JOBS", {"abc", "0", "1025"});
+}
+
+TEST(EnvParsingDeathTest, MalformedSelfChaosSeedDiesLoudly) {
+  expect_rejected("EAB_SELF_CHAOS", {"-1"});
+}
+
+TEST(EnvParsingDeathTest, OversizedSelfChaosKillsDiesLoudly) {
+  expect_rejected("EAB_SELF_CHAOS_KILLS", {"65"});
+}
+
+TEST(EnvParsingDeathTest, MalformedOrchestratorChaosFlagDiesLoudly) {
+  expect_rejected("EAB_SELF_CHAOS_ORC", {"maybe"});
+}
+
+TEST(EnvParsingDeathTest, MalformedTelemetryFlagDiesLoudly) {
+  expect_rejected("EAB_TELEMETRY", {"yes"});
+}
+
+TEST(EnvParsingDeathTest, OutOfRangeTelemetryTickDiesLoudly) {
+  expect_rejected("EAB_TELEMETRY_TICK", {"0", "86401", "5s"});
+}
+
+TEST(EnvParsingDeathTest, OutOfRangeTelemetryBudgetDiesLoudly) {
+  expect_rejected("EAB_TELEMETRY_BUDGET", {"1", "1048577"});
+}
+
+TEST(EnvParsingDeathTest, MalformedProgressFlagDiesLoudly) {
+  expect_rejected("EAB_PROGRESS", {"on"});
+}
+
+TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
+  // Unset: supervise without durability, chaos or progress, with
+  // Supervisor::resolve_workers' default pool.
+  const auto defaults =
+      bench::supervisor_config_from_env("sweep.journal", "fp-v1");
+  EXPECT_EQ(defaults.workers, 0);
+  EXPECT_TRUE(defaults.checkpoint_path.empty());
+  EXPECT_EQ(defaults.fingerprint, "fp-v1");
+  EXPECT_EQ(defaults.self_chaos_seed, 0u);
+  EXPECT_EQ(defaults.self_chaos_worker_kills, 0);
+  EXPECT_FALSE(defaults.self_chaos_kill_orchestrator);
+  EXPECT_FALSE(defaults.progress);
+
+  const std::vector<std::pair<const char*, const char*>> env = {
+      {"EAB_WORKERS", "3"},         {"EAB_CHECKPOINT_DIR", "/tmp/ckpt"},
+      {"EAB_SELF_CHAOS", "12345"},  {"EAB_SELF_CHAOS_KILLS", "4"},
+      {"EAB_SELF_CHAOS_ORC", "1"},  {"EAB_PROGRESS", "1"}};
+  for (const auto& [name, value] : env) setenv(name, value, 1);
+  const auto config =
+      bench::supervisor_config_from_env("sweep.journal", "fp-v1");
+  for (const auto& [name, value] : env) unsetenv(name);
+  EXPECT_EQ(config.workers, 3);
+  EXPECT_EQ(config.checkpoint_path, "/tmp/ckpt/sweep.journal");
+  EXPECT_EQ(config.fingerprint, "fp-v1");
+  EXPECT_EQ(config.self_chaos_seed, 12345u);
+  EXPECT_EQ(config.self_chaos_worker_kills, 4);
+  EXPECT_TRUE(config.self_chaos_kill_orchestrator);
+  EXPECT_TRUE(config.progress);
 }
 
 TEST(EnvParsing, OutageKnobsHonorWellFormedValues) {
@@ -499,6 +515,61 @@ TEST(Fnv1a, MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a_64(""), 0xCBF29CE484222325ULL);
   EXPECT_EQ(fnv1a_64("a"), 0xAF63DC4C8601EC8CULL);
   EXPECT_EQ(fnv1a_64("foobar"), 0x85944171F73967E8ULL);
+}
+
+/// A nine-shard sweep whose shard i yields "i:i*i" (`poisoned` throws),
+/// recording what it consumes.
+core::SupervisorReport sweep_squares(const SweepExecution& exec,
+                                     std::vector<std::string>& seen,
+                                     std::size_t poisoned) {
+  const auto identity = [](std::string_view bytes) { return std::string(bytes); };
+  SweepDriver<std::string> driver;
+  driver
+      .shard([poisoned](std::size_t i) {
+        if (i == poisoned) throw std::runtime_error("poisoned shard");
+        return std::to_string(i) + ":" + std::to_string(i * i);
+      })
+      .consume([&seen](std::size_t, std::string&& s) { seen.push_back(s); })
+      .codec(identity, identity);
+  return driver.run(9, exec);
+}
+
+bool run_sweep_squares(std::vector<std::string>& seen, std::size_t poisoned) {
+  return bench::run_sweep("squares.journal", "squares v1",
+                          [&](const SweepExecution& exec) {
+                            return sweep_squares(exec, seen, poisoned);
+                          });
+}
+
+// The supervised tier forks workers, so these run before anything in this
+// binary starts the shared runner's threads (TSan rejects a worker that
+// starts its heartbeat thread after a multi-threaded fork).
+TEST(RunSweep, ThrowingShardUnderSupervisionReturnsFalse) {
+  setenv("EAB_SUPERVISE", "1", 1);
+  setenv("EAB_WORKERS", "1", 1);
+  std::vector<std::string> seen;
+  EXPECT_FALSE(run_sweep_squares(seen, 3));
+  unsetenv("EAB_SUPERVISE");
+  unsetenv("EAB_WORKERS");
+  // The failed shard is skipped; every other one still arrives in order.
+  const std::vector<std::string> expected = {"0:0",  "1:1",  "2:4",
+                                             "4:16", "5:25", "6:36",
+                                             "7:49", "8:64"};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(RunSweep, SupervisedAndPooledTiersConsumeTheSameSequence) {
+  std::vector<std::string> supervised;
+  std::vector<std::string> pooled;
+  setenv("EAB_SUPERVISE", "1", 1);
+  setenv("EAB_WORKERS", "1", 1);
+  EXPECT_TRUE(run_sweep_squares(supervised, 99));
+  unsetenv("EAB_SUPERVISE");
+  unsetenv("EAB_WORKERS");
+  EXPECT_TRUE(run_sweep_squares(pooled, 99));
+  ASSERT_EQ(pooled.size(), 9u);
+  EXPECT_EQ(pooled[8], "8:64");
+  EXPECT_EQ(supervised, pooled);
 }
 
 TEST(RunBenchmark, EmptySpecListYieldsZeroedAverages) {

@@ -96,7 +96,9 @@ TEST(RilSessionFallback, ExhaustedRetriesStillDemoteViaTimersInSession) {
 
   SessionConfig config;
   config.policy = SessionPolicy::kOriginalAlwaysOff;  // requests IDLE per page
-  config.ril_socket_failures = 3;  // every request dies at the socket hop
+  // Every request dies at the socket hop.  The stack's chaos directive is
+  // the session's one RIL-failure knob, also when set by hand like here.
+  config.stack.chaos.ril_socket_failures = 3;
 
   const SessionResult result = run_session(visits, config, 1);
   EXPECT_EQ(result.pages, 3);

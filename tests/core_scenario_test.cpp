@@ -134,7 +134,7 @@ TEST(ScenarioBuilder, BuildSessionUnifiesRilDirective) {
                                     .chaos(chaos)
                                     .build_session(SessionPolicy::kAccurate);
   EXPECT_EQ(session.policy, SessionPolicy::kAccurate);
-  EXPECT_EQ(session.ril_socket_failures, 3);
+  EXPECT_EQ(session.stack.chaos.ril_socket_failures, 3);
   EXPECT_EQ(session.stack, ScenarioBuilder().chaos(chaos).build().stack);
 }
 

@@ -264,7 +264,7 @@ TEST(Audit, SessionWithRilFailurePasses) {
   TraceRecorder recorder;
   core::SessionConfig config;
   config.policy = core::SessionPolicy::kEnergyAwareAlwaysOff;
-  config.ril_socket_failures = 1;
+  config.stack.chaos.ril_socket_failures = 1;
   config.trace = &recorder;
   const auto result = core::run_session(visits, config, 5);
   EXPECT_EQ(result.ril_socket_failures, 1);

@@ -9,10 +9,12 @@
 // ops, effects, errors and final globals.  It walks the same AST that
 // `parse()` produces and ignores the fields the fast resolve pass fills in.
 //
-// The one deliberate edit: array/string indices and substring bounds go
+// The deliberate edits: array/string indices and substring bounds go
 // through `index_or_npos` / `clamp_to_size` and index writes stop at
 // `kMaxArrayLength`, exactly as in the engine, so both agree on inputs that
-// used to be undefined behaviour (negative, NaN or huge indices).
+// used to be undefined behaviour (negative, NaN or huge indices).  Likewise
+// a concatenation or array rendering longer than `kMaxStringLength` fails
+// with "string too long" (`checked_length`), as it does in the engine.
 #pragma once
 
 #include <algorithm>
@@ -116,6 +118,12 @@ inline double Value::to_number() const {
   return 0;
 }
 
+/// `text`, unless it is longer than a script may build.
+inline std::string checked_length(std::string text) {
+  if (text.size() > kMaxStringLength) throw JsError("string too long");
+  return text;
+}
+
 inline std::string Value::to_string() const {
   if (std::holds_alternative<std::monostate>(storage)) return "undefined";
   if (std::holds_alternative<std::nullptr_t>(storage)) return "null";
@@ -126,7 +134,7 @@ inline std::string Value::to_string() const {
     std::string out;
     for (std::size_t i = 0; i < (*arr)->size(); ++i) {
       if (i > 0) out += ",";
-      out += (**arr)[i].to_string();
+      out = checked_length(std::move(out) + (**arr)[i].to_string());
     }
     return out;
   }
@@ -355,7 +363,7 @@ class Evaluator {
     Value rhs = evaluate(*expr.operands[1]);
     if (op == "+") {
       if (lhs.is_string() || rhs.is_string()) {
-        return Value::make(lhs.to_string() + rhs.to_string());
+        return Value::make(checked_length(lhs.to_string() + rhs.to_string()));
       }
       return Value::make(lhs.to_number() + rhs.to_number());
     }
@@ -392,7 +400,8 @@ class Evaluator {
       const char op = expr.text[0];
       if (op == '+') {
         if (current.is_string() || value.is_string()) {
-          value = Value::make(current.to_string() + value.to_string());
+          value = Value::make(
+              checked_length(current.to_string() + value.to_string()));
         } else {
           value = Value::make(current.to_number() + value.to_number());
         }

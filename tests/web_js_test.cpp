@@ -495,6 +495,38 @@ TEST(JsInterpreter, DeepArrayStringifyIsReportedNotCrashed) {
   EXPECT_FALSE(interp.run(nested(kMaxStringifyDepth + 1)).completed);
 }
 
+TEST_F(JsFixture, ArrayDagStringifyStopsAtTheLengthCap) {
+  // 22 doublings of a shared array: 324 ops would render an 8 MB string.
+  const RunResult dag = interp.run(
+      "var a = [1]; var i = 0; while (i < 22) { a = [a, a]; i = i + 1; }"
+      "var s = '' + a;");
+  EXPECT_FALSE(dag.completed);
+  EXPECT_EQ(dag.error, "string too long");
+  EXPECT_TRUE(interp.global("s").is_undefined());
+  // Rendering without a concatenation stops at the same cap.
+  EXPECT_EQ(interp.run("var eq = a == 'x';").error, "string too long");
+  EXPECT_TRUE(interp.run("var y = 2;").completed);  // the page carries on
+}
+
+TEST_F(JsFixture, StringDoublingStopsAtTheLengthCap) {
+  const RunResult doubling = interp.run(
+      "var s = 'x'; var i = 0; while (i < 40) { s = s + s; i = i + 1; }");
+  EXPECT_FALSE(doubling.completed);
+  EXPECT_EQ(doubling.error, "string too long");
+  // The limit is exact: a string of kMaxStringLength chars may be built;
+  // one char more may not, by + or by +=.
+  static_assert(kMaxStringLength == std::size_t{1} << 22);
+  const RunResult at_limit = interp.run(
+      "var u = 'x'; var k = 0; while (k < 22) { u += u; k = k + 1; }"
+      "var n = len(u);");
+  EXPECT_TRUE(at_limit.completed) << at_limit.error;
+  EXPECT_DOUBLE_EQ(interp.global("n").to_number(),
+                   static_cast<double>(kMaxStringLength));
+  EXPECT_EQ(interp.run("var v = u + 'y';").error, "string too long");
+  EXPECT_EQ(interp.run("u += 'y';").error, "string too long");
+  EXPECT_TRUE(interp.global("v").is_undefined());
+}
+
 TEST_F(JsFixture, OutOfRangeIndicesReadAsMissing) {
   interp.run(
       "var a = [1, 2]; var neg = a[0 - 1]; var nan = a[0 / 0]; var inf = a[1 / 0];"
