@@ -54,15 +54,23 @@ echo "== ASan: fault-path tests under -fsanitize=address =="
 # stale-callback drops, cancelled-flow teardown).
 # The JS engine's refcounted values, flat call frames and argument stack
 # get the same treatment, driven by the differential test's random programs.
+# The single-load, session and abort tests build on core::UeStack, whose
+# member order decides that a load dies before its client and injectors.
 cmake -B build-asan -S . -DEAB_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target net_fault_test --target net_http_test --target web_robustness_test \
-  --target web_js_test --target web_js_differential_test
+  --target web_js_test --target web_js_differential_test \
+  --target core_experiment_test --target core_session_test \
+  --target core_scenario_test --target chaos_abort_test
 ./build-asan/tests/net_fault_test
 ./build-asan/tests/net_http_test
 ./build-asan/tests/web_robustness_test
 ./build-asan/tests/web_js_test
 ./build-asan/tests/web_js_differential_test
+./build-asan/tests/core_experiment_test
+./build-asan/tests/core_session_test
+./build-asan/tests/core_scenario_test
+./build-asan/tests/chaos_abort_test
 
 echo "== chaos: seeded sweep + reproducer corpus replay =="
 # 256 seed-derived cross-layer fault scenarios (net faults, RIL failures,

@@ -2,11 +2,12 @@
 // principles).
 //
 // The M/G/N loss model of capacity/mgn.hpp assumes each session's service
-// time: here we derive it.  N independent UE stacks — each with its own
-// RrcMachine, SharedLink, HttpClient, pipeline and fault plan, all seeded
-// from derive_seed(cell_seed, ue_id) — run in ONE sim::Simulator against a
-// CellScheduler that owns a bounded pool of channel pairs (DCH grants) and
-// a shared downlink bandwidth budget.  A session that arrives while every
+// time: here we derive it.  N independent UE stacks — each a core::UeStack
+// (the same wiring a single load and a session use: radio, link, CPU, RIL,
+// injectors, cache, trace) plus a per-session HttpClient and pipeline, all
+// seeded from derive_seed(cell_seed, ue_id) — run in ONE sim::Simulator
+// against a scheduler (CellSim, cell_sim.hpp) that owns a bounded pool of
+// channel pairs (DCH grants) and a shared downlink bandwidth budget.  A session that arrives while every
 // grant is busy is dropped (admission blocking, no queue), which is exactly
 // the dropping probability Fig 11 plots; the energy-aware pipeline's
 // fast-dormancy release frees its grant at transmission-complete instead of
@@ -19,6 +20,7 @@
 //   - arrival stream:   Rng(derive_seed(ue_seed, kArrivalStream))
 //   - per-load seed:    derive_seed(ue_seed, session_index)
 //   - fault plan seed:  derive_seed(ue_seed, kFaultStream) (when enabled)
+//   - outage plan seed: derive_seed(ue_seed, kOutageStream) (when enabled)
 // Chaos directives: ril_socket_failures and cache storms apply per UE;
 // abort_at does not map onto an open-ended session stream and is ignored —
 // use CellConfig::abort_rate, which aborts a random fraction of admitted
@@ -32,7 +34,7 @@
 //
 // Bandwidth: each UE owns a SharedLink whose capacity is recomputed on
 // every flow start/finish/pause/resume (SharedLink::set_on_flow_change →
-// CellScheduler rebalance → SharedLink::set_capacity): round-robin splits
+// CellSim::rebalance → SharedLink::set_capacity): round-robin splits
 // the cell budget equally across UEs with active unpaused flows,
 // proportional-fair weights each UE by 1/(1 + delivered/1MB); both cap a
 // UE's share at its own DCH bearer rate.

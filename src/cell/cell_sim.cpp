@@ -25,6 +25,21 @@ constexpr std::uint64_t kOutageStream = 0x00A1'55EE'0000'0004ULL;
 /// many bytes weighs half of a fresh one.
 constexpr double kFairShareRefBytes = 1024.0 * 1024.0;
 
+/// The UE's injector plans: the template's, reseeded under the UE's root.
+/// Whole-cell outages drive coverage through the outage injector, so it
+/// exists even when the per-UE plan is disabled; such a plan schedules no
+/// windows of its own, and its reestablish_fail_rate still applies to
+/// cell-driven re-establishment.
+core::UePlans ue_plans(const CellConfig& config, int id, std::uint64_t seed) {
+  const core::StackConfig& stack = config.per_ue.stack;
+  core::UePlans plans{stack.fault_plan, stack.outage,
+                      static_cast<std::uint64_t>(id),
+                      config.cell_outage_count > 0};
+  plans.faults.seed = derive_seed(seed, kFaultStream);
+  plans.outage.seed = derive_seed(seed, kOutageStream);
+  return plans;
+}
+
 }  // namespace
 
 void validate_cell_config(const CellConfig& config) {
@@ -94,10 +109,9 @@ CellUe::CellUe(sim::Simulator& sim, const CellConfig& config, int id_,
     : id(id_),
       seed(seed_),
       rng(derive_seed(seed, kArrivalStream)),
-      rrc(sim, config.per_ue.stack.rrc, config.per_ue.stack.power),
-      link(sim, config.per_ue.stack.link.dch_bandwidth),
-      cpu(sim, config.per_ue.stack.power.cpu_busy_extra),
-      ril(sim, rrc),
+      trace(config.per_ue.stack.trace ? std::make_shared<obs::TraceRecorder>()
+                                      : nullptr),
+      stack(sim, config.per_ue.stack, ue_plans(config, id, seed), trace.get()),
       generator(derive_seed(seed, kGeneratorStream)),
       hosted_urls(config.specs.size()) {}
 
@@ -133,7 +147,20 @@ std::unique_ptr<CellUe> CellSim::make_ue(int id, std::uint64_t seed) {
   ue->home = this;
   members_.push_back(ue.get());
   home_ues_.push_back(ue.get());
-  wire(*ue);
+  // Hooks route through ue.cell, the SERVING cell: after a reselection or
+  // handover the UE's grant transitions and rebalances land in the right
+  // scheduler without re-wiring.
+  CellUe& member = *ue;
+  member.stack.rrc.set_on_state_change(
+      [&member](radio::RrcState from, radio::RrcState to) {
+        if (to == radio::RrcState::kDch && from != radio::RrcState::kDch) {
+          member.cell->on_dch_enter(member);
+        } else if (from == radio::RrcState::kDch &&
+                   to != radio::RrcState::kDch) {
+          member.cell->on_dch_exit(member);
+        }
+      });
+  member.stack.link.set_on_flow_change([&member] { member.cell->rebalance(); });
   return ue;
 }
 
@@ -145,60 +172,6 @@ void CellSim::schedule_cell_outages() {
     sim_.schedule_at(begin + config_.cell_outage_duration,
                      [this] { cell_outage_end(); });
   }
-}
-
-void CellSim::wire(CellUe& ue) {
-  const auto& stack = config_.per_ue.stack;
-  if (stack.fault_plan.enabled()) {
-    net::FaultPlan plan = stack.fault_plan;
-    plan.seed = derive_seed(ue.seed, kFaultStream);
-    ue.faults.emplace(sim_, ue.link, plan);
-  }
-  if (outage_enabled_) {
-    // A disabled per-UE plan still gets an injector when whole-cell
-    // outages are on: it schedules no windows of its own and exists so
-    // cell_outage_begin/end can drive coverage (and so the plan's
-    // reestablish_fail_rate applies to cell-driven re-establishment too).
-    radio::OutagePlan plan = stack.outage;
-    plan.seed = derive_seed(ue.seed, kOutageStream);
-    ue.outage.emplace(sim_, ue.link, ue.rrc, plan, ue.id);
-    ue.rrc.set_on_rlf([&ue] {
-      if (ue.client) ue.client->on_radio_lost();
-    });
-  }
-  if (stack.use_browser_cache) {
-    ue.cache.emplace(stack.browser_cache_bytes);
-    if (stack.chaos.cache_storm_count > 0) {
-      for (int i = 0; i < stack.chaos.cache_storm_count; ++i) {
-        sim_.schedule_at(
-            stack.chaos.cache_storm_start + i * stack.chaos.cache_storm_period,
-            [&ue] { ue.cache->clear(); });
-      }
-    }
-  }
-  if (stack.chaos.ril_socket_failures > 0) {
-    ue.ril.fail_next(stack.chaos.ril_socket_failures);
-  }
-  if (stack.trace) {
-    ue.trace = std::make_shared<obs::TraceRecorder>();
-    ue.rrc.set_trace(ue.trace.get());
-    ue.link.set_trace(ue.trace.get());
-    ue.ril.set_trace(ue.trace.get());
-    if (ue.faults) ue.faults->set_trace(ue.trace.get());
-    if (ue.outage) ue.outage->set_trace(ue.trace.get());
-  }
-  // Hooks route through ue.cell, the SERVING cell: after a reselection or
-  // handover the UE's grant transitions and rebalances land in the right
-  // scheduler without re-wiring.
-  ue.rrc.set_on_state_change([&ue](radio::RrcState from, radio::RrcState to) {
-    if (to == radio::RrcState::kDch && from != radio::RrcState::kDch) {
-      ue.cell->on_dch_enter(ue);
-    } else if (from == radio::RrcState::kDch &&
-               to != radio::RrcState::kDch) {
-      ue.cell->on_dch_exit(ue);
-    }
-  });
-  ue.link.set_on_flow_change([&ue] { ue.cell->rebalance(); });
 }
 
 // --- grant pool -----------------------------------------------------------
@@ -269,7 +242,7 @@ void CellSim::attach(CellUe& ue) {
   members_.push_back(&ue);
   // Entering a dark cell is entering the outage: the UE loses coverage the
   // moment it camps.
-  if (cell_down_ && ue.outage) ue.outage->coverage_lost();
+  if (cell_down_ && ue.stack.outage) ue.stack.outage->coverage_lost();
   rebalance();
 }
 
@@ -291,7 +264,7 @@ void CellSim::detach(CellUe& ue) {
   }
   // Leaving a dark cell restores coverage (the target applies its own
   // outage state on attach).
-  if (cell_down_ && ue.outage) ue.outage->coverage_restored();
+  if (cell_down_ && ue.stack.outage) ue.stack.outage->coverage_restored();
   members_.erase(std::find(members_.begin(), members_.end(), &ue));
   ue.cell = nullptr;
   rebalance();
@@ -323,7 +296,7 @@ void CellSim::cell_outage_begin() {
     telemetry_->sample("cell.down", sim_.now(), 1.0);
   }
   for (CellUe* ue : members_) {
-    if (ue->outage) ue->outage->coverage_lost();
+    if (ue->stack.outage) ue->stack.outage->coverage_lost();
   }
 }
 
@@ -336,7 +309,7 @@ void CellSim::cell_outage_end() {
     telemetry_->sample("cell.down", sim_.now(), 0.0);
   }
   for (CellUe* ue : members_) {
-    if (ue->outage) ue->outage->coverage_restored();
+    if (ue->stack.outage) ue->stack.outage->coverage_restored();
   }
 }
 
@@ -356,7 +329,7 @@ void CellSim::rebalance() {
     rebalance_dirty_ = false;
     active_.clear();
     for (CellUe* ue : members_) {
-      if (ue->link.active_flows() > 0 && !ue->link.paused()) {
+      if (ue->stack.link.active_flows() > 0 && !ue->stack.link.paused()) {
         active_.push_back(ue);
       }
     }
@@ -365,21 +338,21 @@ void CellSim::rebalance() {
       const BytesPerSecond share =
           cell_rate_ / static_cast<double>(active_.size());
       for (CellUe* ue : active_) {
-        ue->link.set_capacity(std::clamp(share, 1.0, per_ue_rate_));
+        ue->stack.link.set_capacity(std::clamp(share, 1.0, per_ue_rate_));
       }
     } else {
       double total_weight = 0;
       for (CellUe* ue : active_) {
         total_weight +=
-            1.0 / (1.0 + static_cast<double>(ue->link.delivered()) /
+            1.0 / (1.0 + static_cast<double>(ue->stack.link.delivered()) /
                              kFairShareRefBytes);
       }
       for (CellUe* ue : active_) {
         const double weight =
-            1.0 / (1.0 + static_cast<double>(ue->link.delivered()) /
+            1.0 / (1.0 + static_cast<double>(ue->stack.link.delivered()) /
                              kFairShareRefBytes);
         const BytesPerSecond share = cell_rate_ * weight / total_weight;
-        ue->link.set_capacity(std::clamp(share, 1.0, per_ue_rate_));
+        ue->stack.link.set_capacity(std::clamp(share, 1.0, per_ue_rate_));
       }
     }
   } while (rebalance_dirty_);
@@ -430,30 +403,19 @@ void CellSim::begin_load(CellUe& ue, std::size_t spec_index, bool wants_abort,
   ue.client.reset();
   ++ue.generation;
 
-  const auto& stack = config_.per_ue.stack;
+  const core::StackConfig& per_ue = config_.per_ue.stack;
   const corpus::PageSpec& spec = config_.specs[spec_index];
   if (ue.hosted_urls[spec_index].empty()) {
     ue.hosted_urls[spec_index] = ue.generator.host_page(spec, ue.server);
   }
-  ue.client = std::make_unique<net::HttpClient>(
-      sim_, ue.server, ue.link, ue.rrc, stack.link,
-      stack.max_parallel_connections);
-  ue.client->set_retry_policy(stack.retry);
-  if (ue.faults) ue.client->set_fault_injector(&*ue.faults);
-  if (ue.cache) ue.client->set_cache(&*ue.cache);
-  if (ue.trace) ue.client->set_trace(ue.trace.get());
-
-  browser::PipelineConfig pipeline = stack.pipeline;
+  ue.client = ue.stack.make_client(ue.server);
+  browser::PipelineConfig pipeline = per_ue.pipeline;
   pipeline.mobile_page = spec.mobile;
   const std::uint64_t load_seed = derive_seed(
       ue.seed, static_cast<std::uint64_t>(ue.sessions_started));
   ++ue.sessions_started;
-  ue.load = std::make_unique<browser::PageLoad>(sim_, *ue.client, ue.cpu,
-                                                pipeline, load_seed);
-  if (stack.force_idle_at_tx) {
-    ue.load->set_on_transmission_complete([&ue] { ue.ril.request_idle(); });
-  }
-  if (ue.trace) ue.load->set_trace(ue.trace.get());
+  ue.load = ue.stack.make_load(*ue.client, pipeline, load_seed,
+                               per_ue.force_idle_at_tx);
 
   ue.session_active = true;
   const int gen = ue.generation;
@@ -502,32 +464,35 @@ void CellSim::sample_gauges(Seconds t) {
   std::uint64_t rlf = 0, reestablish_ok = 0, reestablish_fail = 0;
   for (const CellUe* owner : members_) {
     const CellUe& ue = *owner;
-    const radio::RrcState state = ue.rrc.state();
+    const radio::RrcState state = ue.stack.rrc.state();
     switch (state) {
       case radio::RrcState::kIdle: ++idle; break;
       case radio::RrcState::kFach: ++fach; break;
       case radio::RrcState::kDch: ++dch; break;
       case radio::RrcState::kOutOfService: ++oos; break;
     }
-    radio_w += ue.rrc.power().current_power();
+    radio_w += ue.stack.rrc.power().current_power();
     // Residency-derived cumulative energy at the nominal per-state dwell
     // powers (Table 5); transfer and signalling overlays live in the exact
     // per-UE PowerTimeline, this series tracks where the joules accrue.
-    energy_idle += ue.rrc.time_in(radio::RrcState::kIdle) * power.idle;
-    energy_fach += ue.rrc.time_in(radio::RrcState::kFach) * power.fach;
+    energy_idle += ue.stack.rrc.time_in(radio::RrcState::kIdle) * power.idle;
+    energy_fach += ue.stack.rrc.time_in(radio::RrcState::kFach) * power.fach;
     energy_dch +=
-        ue.rrc.time_in(radio::RrcState::kDch) * power.dch_no_transfer;
+        ue.stack.rrc.time_in(radio::RrcState::kDch) * power.dch_no_transfer;
     if (outage_enabled_) {
-      energy_oos += ue.rrc.time_in(radio::RrcState::kOutOfService) *
+      energy_oos += ue.stack.rrc.time_in(radio::RrcState::kOutOfService) *
                     power.out_of_service;
-      rlf += static_cast<std::uint64_t>(ue.rrc.rlf_count());
-      reestablish_ok += static_cast<std::uint64_t>(ue.rrc.reestablish_ok());
+      rlf += static_cast<std::uint64_t>(ue.stack.rrc.rlf_count());
+      reestablish_ok +=
+          static_cast<std::uint64_t>(ue.stack.rrc.reestablish_ok());
       reestablish_fail +=
-          static_cast<std::uint64_t>(ue.rrc.reestablish_fail());
+          static_cast<std::uint64_t>(ue.stack.rrc.reestablish_fail());
     }
-    const std::size_t ue_flows = ue.link.active_flows();
+    const std::size_t ue_flows = ue.stack.link.active_flows();
     flows += static_cast<double>(ue_flows);
-    if (ue_flows > 0 && !ue.link.paused()) link_bps += ue.link.capacity();
+    if (ue_flows > 0 && !ue.stack.link.paused()) {
+      link_bps += ue.stack.link.capacity();
+    }
     std::uint64_t ue_fetches = 0;
     if (ue.client) {
       in_flight += static_cast<std::uint64_t>(ue.client->in_flight());
@@ -621,15 +586,16 @@ CellResult CellSim::finalize(Seconds end, std::uint64_t sim_events) {
   result.per_ue.reserve(home_ues_.size());
   for (CellUe* ue : home_ues_) {
     ue->stats.energy = core::EnergyReport::measure(
-        PowerTimeline::sum(ue->rrc.power(), ue->cpu.power()), ue->rrc.power(),
-        end, end);
+        PowerTimeline::sum(ue->stack.rrc.power(), ue->stack.cpu.power()),
+        ue->stack.rrc.power(), end, end);
     ue->stats.trace = ue->trace;
-    ue->stats.radio_outages = ue->outage ? ue->outage->outages_started() : 0;
-    ue->stats.rlf = ue->rrc.rlf_count();
-    ue->stats.reestablish_ok = ue->rrc.reestablish_ok();
-    ue->stats.reestablish_fail = ue->rrc.reestablish_fail();
+    ue->stats.radio_outages =
+        ue->stack.outage ? ue->stack.outage->outages_started() : 0;
+    ue->stats.rlf = ue->stack.rrc.rlf_count();
+    ue->stats.reestablish_ok = ue->stack.rrc.reestablish_ok();
+    ue->stats.reestablish_fail = ue->stack.rrc.reestablish_fail();
     ue->stats.out_of_service_time =
-        ue->rrc.time_in(radio::RrcState::kOutOfService);
+        ue->stack.rrc.time_in(radio::RrcState::kOutOfService);
     result.radio_outages += static_cast<std::uint64_t>(ue->stats.radio_outages);
     result.rlf += static_cast<std::uint64_t>(ue->stats.rlf);
     result.reestablish_ok +=
@@ -641,7 +607,7 @@ CellResult CellSim::finalize(Seconds end, std::uint64_t sim_events) {
     result.completed += static_cast<std::uint64_t>(ue->stats.completed);
     result.aborted += static_cast<std::uint64_t>(ue->stats.aborted);
     result.leaked_flows +=
-        static_cast<std::uint64_t>(ue->link.active_flows());
+        static_cast<std::uint64_t>(ue->stack.link.active_flows());
     result.per_ue.push_back(ue->stats);
   }
 

@@ -1,11 +1,14 @@
 // The cell engine behind run_cell, exposed so a metro (src/metro/) can run
 // M cells in ONE simulator with UEs migrating between them.
 //
-// Ownership split: CellSim no longer owns the simulator or the UEs.  The
+// Ownership split: CellSim does not own the simulator or the UEs.  The
 // driver (run_cell, or metro::run_metro) owns the sim::Simulator and a flat
 // vector of CellUe; each CellSim is one cell's scheduler — grant pool,
 // bandwidth budget, session process, whole-cell outages, telemetry — over
-// the UEs currently *attached* to it.  A UE's serving cell is `ue.cell`;
+// the UEs currently *attached* to it.  A CellUe's phone is a core::UeStack
+// built from the per-UE template with reseeded plans; CellSim adds only the
+// grant and rebalance hooks, and each session's client and load come from
+// the stack's factories.  A UE's serving cell is `ue.cell`;
 // every per-session hook (arrival, DCH enter/exit, flow change) routes
 // through that pointer, so after a reselection or handover the UE's next
 // event lands in the right scheduler with no re-wiring.
@@ -29,23 +32,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "browser/cpu.hpp"
 #include "browser/pipeline.hpp"
 #include "cell/cell.hpp"
-#include "core/ril.hpp"
+#include "core/ue_stack.hpp"
 #include "corpus/generator.hpp"
-#include "net/cache.hpp"
-#include "net/fault.hpp"
 #include "net/http_client.hpp"
-#include "net/outage.hpp"
-#include "net/shared_link.hpp"
 #include "net/web_server.hpp"
 #include "obs/trace.hpp"
-#include "radio/rrc.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/timeline.hpp"
@@ -64,25 +60,24 @@ enum class Grant { kFree, kReserved, kHeld };
 
 class CellSim;
 
-/// One UE's full stack plus its cell-membership state.  Constructed via
-/// CellSim::make_ue (which wires the hooks); owned by the driver.
+/// One UE: its phone stack plus its cell-membership state.  Constructed
+/// via CellSim::make_ue (which wires the grant and rebalance hooks); owned
+/// by run_cell or metro::run_metro.
 struct CellUe {
   int id;               ///< globally unique across the whole run
   std::uint64_t seed;   ///< derive_seed(cell_seed, local_index)
   Rng rng;              ///< arrival/spec/abort decision stream
-  radio::RrcMachine rrc;
-  net::SharedLink link;
-  browser::CpuScheduler cpu;
-  core::RilStateSwitcher ril;
+  /// Per-UE recorder when per_ue.stack.trace is set (declared before the
+  /// stack, which records into it).
+  std::shared_ptr<obs::TraceRecorder> trace;
+  core::UeStack stack;
   net::WebServer server;
   corpus::PageGenerator generator;
-  std::optional<net::FaultInjector> faults;
-  std::optional<net::OutageInjector> outage;
-  std::optional<net::ResourceCache> cache;
   std::vector<std::string> hosted_urls;  ///< per spec index, "" = unhosted
+  // The current session's objects, declared after the stack so that they
+  // are destroyed before the injectors and the cache they point into.
   std::unique_ptr<net::HttpClient> client;
   std::unique_ptr<browser::PageLoad> load;
-  std::shared_ptr<obs::TraceRecorder> trace;
   int generation = 0;        ///< bumps on every teardown; stale events no-op
   int sessions_started = 0;  ///< per-load seed index
   UeStats stats;
@@ -149,10 +144,9 @@ class CellSim {
 
   // --- construction-time registration -----------------------------------
 
-  /// Builds a UE homed in this cell, wires its hooks (grant transitions,
-  /// fault/outage/cache/trace plumbing, bandwidth observer) and registers
-  /// it as a member.  The caller owns the UE and must keep it alive until
-  /// finalize().
+  /// Builds a UE homed in this cell, wires its grant-transition and
+  /// bandwidth hooks and registers it as a member.  The caller owns the UE
+  /// and must keep it alive until finalize().
   std::unique_ptr<CellUe> make_ue(int id, std::uint64_t seed);
 
   /// Schedules this cell's whole-cell outage windows (no-op when
@@ -190,10 +184,6 @@ class CellSim {
   CellResult finalize(Seconds end, std::uint64_t sim_events);
 
  private:
-  /// Attaches grant hooks, fault/cache/trace plumbing and the bandwidth
-  /// observer; everything that outlives individual sessions.
-  void wire(CellUe& ue);
-
   // --- grant pool ---------------------------------------------------------
 
   void note_busy();

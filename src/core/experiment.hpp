@@ -1,11 +1,12 @@
 // Single-load experiment stack.
 //
 // Assembles the full system — simulator, web server with a generated page,
-// RRC radio, shared downlink, HTTP client, CPU, one of the two pipelines —
-// runs one page load plus a reading window, and returns every quantity the
-// paper's figures report: timings, Table 1 features, energy integrals, the
-// whole-phone power trace (Fig 1/9), the link-rate trace (Fig 4) and the DCH
-// residency that feeds the capacity model (Fig 11).
+// and the phone stack of core/ue_stack.hpp (RRC radio, shared downlink,
+// HTTP client, CPU, one of the two pipelines) — runs one page load plus a
+// reading window, and returns every quantity the paper's figures report:
+// timings, Table 1 features, energy integrals, the whole-phone power trace
+// (Fig 1/9), the link-rate trace (Fig 4) and the DCH residency that feeds
+// the capacity model (Fig 11).
 #pragma once
 
 #include <memory>
@@ -139,8 +140,8 @@ struct SingleLoadResult {
 };
 
 /// Rejects fault/retry combinations that could hang a simulation (a stall
-/// rate with no watchdog).  Called by every stack assembler; exposed so
-/// other harnesses wiring their own stacks can share the check.
+/// rate with no watchdog).  Called by ScenarioBuilder::build() and by
+/// every UeStack (core/ue_stack.hpp).
 void validate_fault_wiring(const StackConfig& config);
 
 /// Generates `spec`, loads it under `config`, lets `reading_window` seconds

@@ -2,13 +2,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 
-#include "core/ril.hpp"
-#include "net/fault.hpp"
-#include "net/outage.hpp"
+#include "core/ue_stack.hpp"
 #include "sim/simulator.hpp"
 
 namespace eab::core {
@@ -57,48 +54,17 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
     }
   }
 
-  radio::RrcMachine rrc(sim, config.stack.rrc, config.stack.power);
-  net::SharedLink link(sim, config.stack.link.dch_bandwidth);
-  browser::CpuScheduler cpu(sim, config.stack.power.cpu_busy_extra);
-  RilStateSwitcher ril(sim, rrc);
-  const int ril_failures = config.stack.chaos.ril_socket_failures;
-  if (ril_failures > 0) ril.fail_next(ril_failures);
-  net::ResourceCache cache(config.stack.browser_cache_bytes);
-
-  // One injector for the whole session: fade windows are absolute-time
-  // events on the shared link, and per-request outcomes are stateless.
-  validate_fault_wiring(config.stack);
-  std::optional<net::FaultInjector> faults;
-  if (config.stack.fault_plan.enabled()) {
-    faults.emplace(sim, link, config.stack.fault_plan);
-  }
+  // One phone for the whole session: fade and outage windows are absolute
+  // times, and the cache and radio state carry over from page to page.
+  UeStack ue(sim, config.stack, config.trace);
+  obs::TraceRecorder* const trace = config.trace;
 
   SessionResult result;
   std::vector<std::unique_ptr<net::HttpClient>> clients;
   std::vector<std::unique_ptr<browser::PageLoad>> loads;
 
-  // Like faults, one coverage process spans the whole session.  On RLF every
-  // client is told to settle; finished pages have no unsettled fetches, so
-  // only the in-flight page reacts.
-  std::optional<net::OutageInjector> outage;
-  if (config.stack.outage.enabled()) {
-    outage.emplace(sim, link, rrc, config.stack.outage, /*ue_id=*/0);
-    rrc.set_on_rlf([&clients] {
-      for (const auto& client : clients) client->on_radio_lost();
-    });
-  }
-
-  obs::TraceRecorder* const trace = config.trace;
-  if (trace != nullptr) {
-    rrc.set_trace(trace);
-    link.set_trace(trace);
-    ril.set_trace(trace);
-    if (faults) faults->set_trace(trace);
-    if (outage) outage->set_trace(trace);
-  }
-
   auto switch_to_idle = [&] {
-    ril.request_idle([&result](bool switched) {
+    ue.ril.request_idle([&result](bool switched) {
       if (switched) ++result.switches_to_idle;
     });
   };
@@ -108,22 +74,15 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
     const PageVisit& visit = visits[index];
     const Seconds clicked_at = sim.now();
 
-    clients.push_back(std::make_unique<net::HttpClient>(
-        sim, server, link, rrc, config.stack.link,
-        config.stack.max_parallel_connections));
-    if (config.stack.use_browser_cache) clients.back()->set_cache(&cache);
-    clients.back()->set_retry_policy(config.stack.retry);
-    if (faults) clients.back()->set_fault_injector(&*faults);
-    if (trace != nullptr) clients.back()->set_trace(trace);
+    clients.push_back(ue.make_client(server));
     browser::PipelineConfig pipeline = config.stack.pipeline;
     pipeline.mode = uses_original_pipeline(config.policy)
                         ? browser::PipelineMode::kOriginal
                         : browser::PipelineMode::kEnergyAware;
     pipeline.mobile_page = visit.spec->mobile;
-    loads.push_back(std::make_unique<browser::PageLoad>(
-        sim, *clients.back(), cpu, pipeline, seed ^ (index * 0x9E3779B97F4AULL)));
+    loads.push_back(ue.make_load(*clients.back(), pipeline,
+                                 seed ^ (index * 0x9E3779B97F4AULL)));
     browser::PageLoad& load = *loads.back();
-    if (trace != nullptr) load.set_trace(trace);
 
     load.start(visit.spec->main_url(), [&, index, clicked_at](
                                            const browser::LoadMetrics& m) {
@@ -217,15 +176,15 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
 
   const Seconds duration = sim.now();
   result.energy = EnergyReport::measure(
-      PowerTimeline::sum(rrc.power(), cpu.power()), rrc.power(), duration,
-      duration);
-  result.ril_socket_failures = ril.socket_failures();
-  result.radio_idle_time = rrc.time_in(radio::RrcState::kIdle);
-  result.radio_outages = outage ? outage->outages_started() : 0;
-  result.rlf_count = rrc.rlf_count();
-  result.reestablish_ok = rrc.reestablish_ok();
-  result.reestablish_fail = rrc.reestablish_fail();
-  result.out_of_service_time = rrc.time_in(radio::RrcState::kOutOfService);
+      PowerTimeline::sum(ue.rrc.power(), ue.cpu.power()), ue.rrc.power(),
+      duration, duration);
+  result.ril_socket_failures = ue.ril.socket_failures();
+  result.radio_idle_time = ue.rrc.time_in(radio::RrcState::kIdle);
+  result.radio_outages = ue.outage ? ue.outage->outages_started() : 0;
+  result.rlf_count = ue.rrc.rlf_count();
+  result.reestablish_ok = ue.rrc.reestablish_ok();
+  result.reestablish_fail = ue.rrc.reestablish_fail();
+  result.out_of_service_time = ue.rrc.time_in(radio::RrcState::kOutOfService);
   return result;
 }
 

@@ -36,7 +36,12 @@ struct PageVisit {
 
 /// Session-level configuration.
 struct SessionConfig {
-  StackConfig stack;            ///< pipeline mode is set from the policy
+  /// The phone (core/ue_stack.hpp).  The policy sets the pipeline mode and
+  /// decides when to release the radio, so force_idle_at_tx is unused.
+  /// Chaos directives: ril_socket_failures and cache storms apply over the
+  /// whole session; abort_at does not map onto a multi-page session and is
+  /// ignored.
+  StackConfig stack;
   SessionPolicy policy = SessionPolicy::kBaseline;
   Seconds threshold = 9.0;      ///< Tp or Td for kAccurate / kPredict
   Seconds alpha = 2.0;          ///< interest threshold before deciding

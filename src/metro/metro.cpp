@@ -288,7 +288,7 @@ namespace {
 /// force-acquires and counts an overcommit there).
 void drop_session(cell::CellUe& ue) {
   if (ue.session_active && ue.load) ue.load->abort();
-  ue.rrc.force_idle();
+  ue.stack.rrc.force_idle();
 }
 
 }  // namespace
@@ -297,9 +297,10 @@ MoveOutcome move_ue(cell::CellUe& ue, cell::CellSim& dst,
                     HandoverPolicy policy) {
   cell::CellSim& src = *ue.cell;
   const bool held = ue.grant == cell::Grant::kHeld;
-  const bool stable_dch =
-      ue.rrc.state() == radio::RrcState::kDch &&
-      ue.rrc.phase() == radio::RadioPhase::kStable && !ue.rrc.link_down();
+  const radio::RrcMachine& rrc = ue.stack.rrc;
+  const bool stable_dch = rrc.state() == radio::RrcState::kDch &&
+                          rrc.phase() == radio::RadioPhase::kStable &&
+                          !rrc.link_down();
   if (held && stable_dch) {
     if (!dst.has_free_grant()) {
       // Admission-or-drop: the target has no grant for the incoming DCH
@@ -319,10 +320,10 @@ MoveOutcome move_ue(cell::CellUe& ue, cell::CellSim& dst,
       // interrupts the exchange the completion is cancelled and the outage
       // machinery owns the resume (SharedLink::pause is idempotent, not
       // nested).
-      const bool we_paused = !ue.link.paused();
-      if (we_paused) ue.link.pause();
-      ue.rrc.start_handover([&ue, we_paused] {
-        if (we_paused && !ue.rrc.link_down()) ue.link.resume();
+      const bool we_paused = !ue.stack.link.paused();
+      if (we_paused) ue.stack.link.pause();
+      ue.stack.rrc.start_handover([&ue, we_paused] {
+        if (we_paused && !ue.stack.rrc.link_down()) ue.stack.link.resume();
       });
     }
     return MoveOutcome::kHandover;

@@ -5,6 +5,7 @@
 #include "cell/cell.hpp"
 #include "cell/service_times.hpp"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 
 #include "core/experiment.hpp"
 #include "obs/audit.hpp"
+#include "sweep_width.hpp"
 
 namespace eab::cell {
 namespace {
@@ -226,11 +228,7 @@ TEST(CellTest, ChaosSweepOverCellScenarios) {
   // balanced and leak nothing, whatever the fault timing.
   // EAB_CELL_CHAOS_SEEDS trims the sweep for expensive builds — check.sh
   // replays 16 seeds under ASan to guard the session-teardown lifetimes.
-  std::uint64_t seeds = 32;
-  if (const char* raw = std::getenv("EAB_CELL_CHAOS_SEEDS")) {
-    const long parsed = std::strtol(raw, nullptr, 10);
-    if (parsed >= 1 && parsed <= 64) seeds = static_cast<std::uint64_t>(parsed);
-  }
+  const std::uint64_t seeds = sweep_width("EAB_CELL_CHAOS_SEEDS", 32);
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     auto config = small_cell(seed % 2 == 0
                                  ? browser::PipelineMode::kEnergyAware
@@ -261,11 +259,7 @@ TEST(CellTest, OutageSweepSerialPooledSupervisedBitIdentical) {
   // sweep and a supervised run must produce the same bytes through
   // serialize_cell_result (radio-failure counters included).
   // EAB_CELL_OUTAGE_SEEDS trims the sweep for expensive builds (ASan).
-  std::uint64_t seeds = 32;
-  if (const char* raw = std::getenv("EAB_CELL_OUTAGE_SEEDS")) {
-    const long parsed = std::strtol(raw, nullptr, 10);
-    if (parsed >= 1 && parsed <= 64) seeds = static_cast<std::uint64_t>(parsed);
-  }
+  const std::uint64_t seeds = sweep_width("EAB_CELL_OUTAGE_SEEDS", 32);
   radio::OutagePlan plan;
   plan.seed = 9;
   plan.count = 2;
@@ -427,6 +421,23 @@ TEST(ServiceTimeTest, CheckedInQuantilesRegenerateBitIdentically) {
         << "energy-aware q" << probs[i] << " is " << std::scientific
         << ea_q[i];
   }
+}
+
+TEST(SweepWidth, UnsetReadsTheDefaultAndATypoFailsByName) {
+  unsetenv("EAB_SWEEP_WIDTH_PROBE");
+  EXPECT_EQ(sweep_width("EAB_SWEEP_WIDTH_PROBE", 32), 32u);
+  for (const char* good : {"1", "8", "64"}) {
+    setenv("EAB_SWEEP_WIDTH_PROBE", good, 1);
+    EXPECT_EQ(sweep_width("EAB_SWEEP_WIDTH_PROBE", 32), std::stoull(good));
+  }
+  for (const char* bad : {"", "abc", "16x", " 16", "+8", "-1", "0", "65"}) {
+    setenv("EAB_SWEEP_WIDTH_PROBE", bad, 1);
+    static std::uint64_t width;
+    EXPECT_NONFATAL_FAILURE(width = sweep_width("EAB_SWEEP_WIDTH_PROBE", 32),
+                            "EAB_SWEEP_WIDTH_PROBE=");
+    EXPECT_EQ(width, 0u) << '"' << bad << '"';
+  }
+  unsetenv("EAB_SWEEP_WIDTH_PROBE");
 }
 
 }  // namespace

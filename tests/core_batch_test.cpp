@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -297,19 +298,40 @@ void expect_rejected(const char* name, const std::vector<std::string>& values) {
 
 TEST(EnvParsingDeathTest, EveryRegisteredKnobIsStrict) {
   constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  // Values each knob's users have typed by mistake, rejected on top of the
+  // per-type rows below.
+  const std::map<std::string, std::vector<std::string>> typos = {
+      {"EAB_FAULT_SEED", {"12bananas"}},
+      {"EAB_TRACE", {"yes"}},
+      {"EAB_CHAOS_SEEDS", {"0"}},
+      {"EAB_SUPERVISE", {"yes"}},
+      {"EAB_WORKERS", {"0", "2000", "two"}},
+      {"EAB_SELF_CHAOS", {"-1"}},
+      {"EAB_SELF_CHAOS_KILLS", {"65"}},
+      {"EAB_SELF_CHAOS_ORC", {"maybe"}},
+      {"EAB_TELEMETRY", {"yes"}},
+      {"EAB_TELEMETRY_TICK", {"0", "86401", "5s"}},
+      {"EAB_TELEMETRY_BUDGET", {"1", "1048577"}},
+      {"EAB_PROGRESS", {"on"}},
+  };
+  std::size_t typo_rows = 0;
   for (const bench::KnobSpec& spec : bench::KnobRegistry::instance().specs()) {
     // The bound edges in and out, plus one malformed value per type.
     std::vector<std::string> accepted;
     std::vector<std::string> rejected;
+    if (const auto row = typos.find(spec.name); row != typos.end()) {
+      rejected = row->second;
+      ++typo_rows;
+    }
     switch (spec.type) {
       case bench::KnobType::kFlag:
         accepted = {"0", "1"};
-        rejected = {"yes", "2"};
+        rejected.insert(rejected.end(), {"yes", "2"});
         break;
       case bench::KnobType::kU64:
         accepted = {std::to_string(spec.u64_min),
                     std::to_string(spec.u64_max)};
-        rejected = {"12x"};
+        rejected.push_back("12x");
         if (spec.u64_min > 0) {
           rejected.push_back(std::to_string(spec.u64_min - 1));
         }
@@ -319,7 +341,7 @@ TEST(EnvParsingDeathTest, EveryRegisteredKnobIsStrict) {
         break;
       case bench::KnobType::kF64:
         accepted = {spec.f64_positive ? f64_text(1e-9) : "0"};
-        rejected = {"1.5s"};
+        rejected.push_back("1.5s");
         if (spec.f64_positive) rejected.push_back("0");
         if (std::isfinite(spec.f64_max)) {
           accepted.push_back(f64_text(spec.f64_max));
@@ -337,6 +359,7 @@ TEST(EnvParsingDeathTest, EveryRegisteredKnobIsStrict) {
     EXPECT_EQ(read_knob(spec), spec.type == bench::KnobType::kPath ? "" : "0")
         << spec.name;
   }
+  EXPECT_EQ(typo_rows, typos.size()) << "a typo row names no registered knob";
 }
 
 TEST(EnvParsing, WellFormedOverridesAreHonored) {
@@ -357,57 +380,8 @@ TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
   EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256), 256u);
 }
 
-// Values each knob's users have typed by mistake; every one must exit 2.
-TEST(EnvParsingDeathTest, MalformedFaultSeedDiesLoudly) {
-  expect_rejected("EAB_FAULT_SEED", {"12bananas"});
-}
-
-TEST(EnvParsingDeathTest, MalformedTraceFlagDiesLoudly) {
-  expect_rejected("EAB_TRACE", {"yes"});
-}
-
-TEST(EnvParsingDeathTest, ZeroChaosSeedsDiesLoudly) {
-  expect_rejected("EAB_CHAOS_SEEDS", {"0"});
-}
-
-TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
-  expect_rejected("EAB_SUPERVISE", {"yes"});
-}
-
-TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
-  expect_rejected("EAB_WORKERS", {"0", "2000", "two"});
-}
-
 TEST(EnvParsingDeathTest, MalformedJobCountDiesLoudly) {
   expect_rejected("EAB_JOBS", {"abc", "0", "1025"});
-}
-
-TEST(EnvParsingDeathTest, MalformedSelfChaosSeedDiesLoudly) {
-  expect_rejected("EAB_SELF_CHAOS", {"-1"});
-}
-
-TEST(EnvParsingDeathTest, OversizedSelfChaosKillsDiesLoudly) {
-  expect_rejected("EAB_SELF_CHAOS_KILLS", {"65"});
-}
-
-TEST(EnvParsingDeathTest, MalformedOrchestratorChaosFlagDiesLoudly) {
-  expect_rejected("EAB_SELF_CHAOS_ORC", {"maybe"});
-}
-
-TEST(EnvParsingDeathTest, MalformedTelemetryFlagDiesLoudly) {
-  expect_rejected("EAB_TELEMETRY", {"yes"});
-}
-
-TEST(EnvParsingDeathTest, OutOfRangeTelemetryTickDiesLoudly) {
-  expect_rejected("EAB_TELEMETRY_TICK", {"0", "86401", "5s"});
-}
-
-TEST(EnvParsingDeathTest, OutOfRangeTelemetryBudgetDiesLoudly) {
-  expect_rejected("EAB_TELEMETRY_BUDGET", {"1", "1048577"});
-}
-
-TEST(EnvParsingDeathTest, MalformedProgressFlagDiesLoudly) {
-  expect_rejected("EAB_PROGRESS", {"on"});
 }
 
 TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace eab::core {
 namespace {
 
@@ -102,6 +104,35 @@ TEST_F(SessionFixture, DeterministicForSeed) {
   const SessionResult b = run(SessionPolicy::kAccurate, 9.0);
   EXPECT_DOUBLE_EQ(a.energy.with_reading_j, b.energy.with_reading_j);
   EXPECT_DOUBLE_EQ(a.total_load_delay, b.total_load_delay);
+}
+
+TEST_F(SessionFixture, CacheStormBetweenVisitsForcesARefetch) {
+  // One page visited twice: without a storm the second visit serves its
+  // subresources from the browser cache; a storm during the reading gap
+  // empties the cache, so the second visit fetches everything again.
+  const std::vector<PageVisit> twice = {{&full, 30.0}, {&full, 5.0}};
+  SessionConfig config;
+  config.stack.use_browser_cache = true;
+  obs::TraceRecorder calm_trace;
+  config.trace = &calm_trace;
+  const SessionResult calm = run_session(twice, config, 1);
+
+  config.stack.chaos.cache_storm_count = 1;
+  config.stack.chaos.cache_storm_start = calm.page_load_times[0] + 10.0;
+  obs::TraceRecorder stormy_trace;
+  config.trace = &stormy_trace;
+  const SessionResult stormy = run_session(twice, config, 1);
+
+  const auto cache_hits = [](const obs::TraceRecorder& trace) {
+    return std::count_if(trace.events().begin(), trace.events().end(),
+                         [](const obs::TraceEvent& e) {
+                           return e.kind == obs::TraceKind::kHttpCacheHit;
+                         });
+  };
+  EXPECT_GT(cache_hits(calm_trace), 0);
+  EXPECT_EQ(cache_hits(stormy_trace), 0);
+  EXPECT_DOUBLE_EQ(stormy.page_load_times[0], calm.page_load_times[0]);
+  EXPECT_GT(stormy.page_load_times[1], calm.page_load_times[1]);
 }
 
 TEST_F(SessionFixture, EmptySessionIsHarmless) {

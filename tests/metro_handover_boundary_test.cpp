@@ -87,8 +87,8 @@ struct MetroRig {
 /// Residue-free in both cells, books closed, audit-clean.
 void expect_clean(MetroRig& rig, const char* context) {
   EXPECT_EQ(rig.ue->grant, cell::Grant::kFree) << context;
-  EXPECT_EQ(rig.ue->link.active_flows(), 0u) << context;
-  EXPECT_EQ(rig.ue->rrc.active_transfers(), 0) << context;
+  EXPECT_EQ(rig.ue->stack.link.active_flows(), 0u) << context;
+  EXPECT_EQ(rig.ue->stack.rrc.active_transfers(), 0) << context;
   EXPECT_EQ(rig.ue->stats.offered,
             rig.ue->stats.admitted + rig.ue->stats.dropped)
       << context;
@@ -107,7 +107,7 @@ void expect_clean(MetroRig& rig, const char* context) {
   inputs.rrc = rig.config0.per_ue.stack.rrc;
   inputs.power = rig.config0.per_ue.stack.power;
   inputs.max_retries = rig.config0.per_ue.stack.retry.max_retries;
-  inputs.radio_energy = rig.ue->rrc.power().energy(0.0, t_end);
+  inputs.radio_energy = rig.ue->stack.rrc.power().energy(0.0, t_end);
   inputs.t_end = t_end;
   ASSERT_NE(rig.ue->trace, nullptr) << context;
   const obs::AuditReport report =
@@ -173,7 +173,7 @@ TEST(MetroHandoverBoundaryTest, MoveAtEveryFetchSettleLeavesNoResidue) {
       if (rig.outcomes[0] == MoveOutcome::kHandover) {
         // A real hard handover must run the signalling exchange exactly
         // once and land the UE in the other cell with its grant settled.
-        EXPECT_EQ(rig.ue->rrc.handovers(), 1) << context;
+        EXPECT_EQ(rig.ue->stack.rrc.handovers(), 1) << context;
         EXPECT_EQ(rig.ue->cell, &rig.cell1) << context;
       }
     }
@@ -195,7 +195,7 @@ TEST(MetroHandoverBoundaryTest, InstantPolicySkipsTheSignallingExchange) {
       rig.move_at(at, HandoverPolicy::kInstant);
       rig.sim.run();
       handovers += rig.count(MoveOutcome::kHandover);
-      EXPECT_EQ(rig.ue->rrc.handovers(), 0);
+      EXPECT_EQ(rig.ue->stack.rrc.handovers(), 0);
       for (const obs::TraceEvent& e : rig.ue->trace->events()) {
         EXPECT_NE(e.kind, obs::TraceKind::kRrcHandoverStart);
       }
@@ -224,8 +224,8 @@ TEST(MetroHandoverBoundaryTest, HandoverIntoDarkCellDropsTheSession) {
       drops += rig.count(MoveOutcome::kHandoverDrop);
       EXPECT_EQ(rig.ue->cell, &rig.cell1);
       EXPECT_EQ(rig.ue->grant, cell::Grant::kFree);
-      EXPECT_EQ(rig.ue->link.active_flows(), 0u);
-      EXPECT_EQ(rig.ue->rrc.active_transfers(), 0);
+      EXPECT_EQ(rig.ue->stack.link.active_flows(), 0u);
+      EXPECT_EQ(rig.ue->stack.rrc.active_transfers(), 0);
       if (rig.outcomes[0] == MoveOutcome::kHandoverDrop) {
         EXPECT_GT(rig.ue->stats.aborted, 0);
       }

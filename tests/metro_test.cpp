@@ -20,6 +20,7 @@
 #include "core/supervisor.hpp"
 #include "corpus/page_spec.hpp"
 #include "obs/audit.hpp"
+#include "sweep_width.hpp"
 
 namespace eab::metro {
 namespace {
@@ -210,11 +211,7 @@ TEST(MetroTest, MobilitySeedSweepStaysClean) {
   // terminate, keep the mobility ledger balanced and leak nothing.
   // EAB_METRO_SWEEP_SEEDS trims the sweep for expensive builds — check.sh
   // replays 16 seeds under ASan to guard the handover-teardown lifetimes.
-  std::uint64_t seeds = 16;
-  if (const char* raw = std::getenv("EAB_METRO_SWEEP_SEEDS")) {
-    const long parsed = std::strtol(raw, nullptr, 10);
-    if (parsed >= 1 && parsed <= 64) seeds = static_cast<std::uint64_t>(parsed);
-  }
+  const std::uint64_t seeds = sweep_width("EAB_METRO_SWEEP_SEEDS", 16);
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     MetroConfig config = small_metro(seed % 2 == 0
                                          ? browser::PipelineMode::kEnergyAware

@@ -9,165 +9,48 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <vector>
 
-#include "browser/cpu.hpp"
-#include "browser/pipeline.hpp"
-#include "core/ril.hpp"
-#include "corpus/generator.hpp"
-#include "net/http_client.hpp"
-#include "net/outage.hpp"
-#include "net/shared_link.hpp"
-#include "net/web_server.hpp"
-#include "obs/audit.hpp"
-#include "obs/trace.hpp"
-#include "radio/rrc.hpp"
-#include "sim/simulator.hpp"
+#include "load_rig.hpp"
 
 namespace eab {
 namespace {
 
-corpus::PageSpec outage_spec() {
-  corpus::PageSpec spec;
-  spec.site = "outage.example";
-  spec.mobile = false;
-  spec.html_bytes = kilobytes(10);
-  spec.css_files = 2;
-  spec.css_bytes = kilobytes(3);
-  spec.css_images = 2;
-  spec.css_image_bytes = kilobytes(2);
-  spec.js_files = 2;
-  spec.js_bytes = kilobytes(2);
-  spec.js_busy_iterations = 300;
-  spec.js_images = 1;
-  spec.js_image_bytes = kilobytes(2);
-  spec.html_images = 6;
-  spec.image_bytes = kilobytes(4);
-  spec.anchors = 6;
-  spec.paragraphs = 8;
-  return spec;
-}
-
-/// The full single-load stack plus a manually-driven outage injector (its
-/// plan is disabled, so nothing is scheduled; tests call coverage_lost /
-/// coverage_restored at the instants under test).
-struct Stack {
-  sim::Simulator sim;
-  net::WebServer server;
-  radio::RrcConfig rrc_config;
-  radio::RadioPowerModel power;
-  radio::LinkConfig link_config;
-  radio::RrcMachine rrc;
-  net::SharedLink link;
-  net::HttpClient client;
-  browser::CpuScheduler cpu;
-  core::RilStateSwitcher ril;
-  net::OutageInjector outage;
-  obs::TraceRecorder trace;
-  browser::PageLoad load;
-  std::string url;
-  int done_count = 0;
-  browser::LoadMetrics metrics;
-
+/// The load with a hand-driven outage injector: the coverage-driven option
+/// a cell uses for whole-cell outages builds it for a disabled plan, so
+/// nothing is scheduled and the tests place the holes.
+struct Stack : LoadRig {
   explicit Stack(browser::PipelineMode mode)
-      : rrc(sim, rrc_config, power),
-        link(sim, link_config.dch_bandwidth),
-        client(sim, server, link, rrc, link_config),
-        cpu(sim, power.cpu_busy_extra),
-        ril(sim, rrc),
-        outage(sim, link, rrc, radio::OutagePlan{}),
-        load(sim, client, cpu,
-             [mode] {
-               browser::PipelineConfig config;
-               config.mode = mode;
-               return config;
-             }(),
-             1234) {
-    corpus::PageGenerator generator(1);
-    url = generator.host_page(outage_spec(), server);
-    if (mode == browser::PipelineMode::kEnergyAware) {
-      load.set_on_transmission_complete([this] { ril.request_idle(); });
-    }
-    // The RLF hook mirrors the assembly paths: the client settles its
-    // in-flight attempts (releasing transfer markers) inside the declaration.
-    rrc.set_on_rlf([this] { client.on_radio_lost(); });
-    rrc.set_trace(&trace);
-    link.set_trace(&trace);
-    client.set_trace(&trace);
-    ril.set_trace(&trace);
-    outage.set_trace(&trace);
-    load.set_trace(&trace);
-  }
-
-  void start() {
-    load.start(url, [this](const browser::LoadMetrics& m) {
-      ++done_count;
-      metrics = m;
-    });
-  }
+      : LoadRig(mode, boundary_spec("outage.example"),
+                /*coverage_driven=*/true) {}
 
   /// Schedules one coverage hole [at, at + duration).  The default duration
-  /// outlasts the T313 detection window (rrc_config.rlf_detect = 1 s), so
+  /// outlasts the T313 detection window (config.rrc.rlf_detect = 1 s), so
   /// the hole always declares RLF when an RRC connection is up.
   void hole_at(Seconds at, Seconds duration = 1.5) {
-    sim.schedule_at(at, [this] { outage.coverage_lost(); });
-    sim.schedule_at(at + duration, [this] { outage.coverage_restored(); });
-  }
-
-  void run_to_done() {
-    while (done_count == 0 && sim.step()) {
-    }
-    ASSERT_EQ(done_count, 1);
+    sim.schedule_at(at, [this] { ue.outage->coverage_lost(); });
+    sim.schedule_at(at + duration, [this] { ue.outage->coverage_restored(); });
   }
 };
 
 /// Asserts the whole stack is residue-free, drains the radio timers, and
 /// replays the recording through the cross-layer auditor.
 void expect_clean_teardown(Stack& stack, const char* context) {
-  EXPECT_EQ(stack.client.queued(), 0u) << context;
-  EXPECT_EQ(stack.client.in_flight(), 0) << context;
-  EXPECT_EQ(stack.link.active_flows(), 0u) << context;
-  EXPECT_EQ(stack.rrc.active_transfers(), 0) << context;
-  EXPECT_EQ(stack.done_count, 1) << context << ": done must fire exactly once";
-
+  stack.expect_no_residue(context);
   // Past every backoff (0.5 + 1 + 2 + 4 s), re-establishment exchange
   // (4 x 1.2 s) and the T1 + T2 inactivity ladder, the radio must be IDLE
   // with no timers pending.
-  const Seconds t_end = stack.metrics.final_display + 40.0;
-  stack.sim.run_until(t_end);
-  EXPECT_EQ(stack.rrc.state(), radio::RrcState::kIdle) << context;
-  EXPECT_EQ(stack.rrc.phase(), radio::RadioPhase::kStable) << context;
-
-  obs::AuditInputs inputs;
-  inputs.rrc = stack.rrc_config;
-  inputs.power = stack.power;
-  inputs.max_retries = stack.client.retry_policy().max_retries;
-  inputs.radio_energy = stack.rrc.power().energy(0.0, t_end);
-  inputs.t_end = t_end;
-  const obs::AuditReport report = obs::TraceAuditor().audit(stack.trace, inputs);
+  const obs::AuditReport report =
+      stack.drain_and_audit(stack.metrics.final_display + 40.0);
+  EXPECT_EQ(stack.ue.rrc.state(), radio::RrcState::kIdle) << context;
+  EXPECT_EQ(stack.ue.rrc.phase(), radio::RadioPhase::kStable) << context;
   EXPECT_TRUE(report.ok()) << context << "\n" << report.summary();
 }
 
-/// Coverage-hole instants for one mode: just inside the first fetch, then a
-/// hair after every distinct fetch-settle time of a clean reference run.
 const std::vector<Seconds>& boundaries_for(browser::PipelineMode mode) {
-  static std::map<browser::PipelineMode, std::vector<Seconds>> cache;
-  auto it = cache.find(mode);
-  if (it != cache.end()) return it->second;
-
-  Stack reference(mode);
-  reference.start();
-  reference.run_to_done();
-  std::vector<Seconds> times = {0.05};
-  for (const obs::TraceEvent& e : reference.trace.events()) {
-    if (e.kind == obs::TraceKind::kHttpFetchSettled) {
-      times.push_back(e.t + 1e-6);
-    }
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return cache.emplace(mode, std::move(times)).first->second;
+  return fetch_boundaries<Stack>(mode);
 }
 
 /// Distinct boundaries boundaries_for() records in each mode.  The case
@@ -288,8 +171,8 @@ TEST(OutageRecovery, ShortFadeIsAbsorbedWithoutRlf) {
   stack.start();
   stack.hole_at(0.5, /*duration=*/0.4);  // rlf_detect defaults to 1 s
   stack.run_to_done();
-  EXPECT_EQ(stack.rrc.rlf_count(), 0);
-  EXPECT_EQ(stack.rrc.time_in(radio::RrcState::kOutOfService), 0.0);
+  EXPECT_EQ(stack.ue.rrc.rlf_count(), 0);
+  EXPECT_EQ(stack.ue.rrc.time_in(radio::RrcState::kOutOfService), 0.0);
   expect_clean_teardown(stack, "short-fade");
 }
 
@@ -311,9 +194,9 @@ TEST(OutageRecovery, RlfMidLoadReestablishesAndSettlesRadioLost) {
   stack.start();
   stack.hole_at(mid_dch_instant());
   stack.run_to_done();
-  EXPECT_GE(stack.rrc.rlf_count(), 1);
-  EXPECT_GE(stack.rrc.reestablish_ok(), 1);
-  EXPECT_GT(stack.rrc.time_in(radio::RrcState::kOutOfService), 0.0);
+  EXPECT_GE(stack.ue.rrc.rlf_count(), 1);
+  EXPECT_GE(stack.ue.rrc.reestablish_ok(), 1);
+  EXPECT_GT(stack.ue.rrc.time_in(radio::RrcState::kOutOfService), 0.0);
   expect_clean_teardown(stack, "rlf-mid-load");
 }
 
@@ -323,11 +206,11 @@ TEST(OutageRecovery, RlfWithExhaustedRetryBudgetSettlesRadioLost) {
   Stack stack(browser::PipelineMode::kOriginal);
   net::RetryPolicy no_retries;
   no_retries.max_retries = 0;
-  stack.client.set_retry_policy(no_retries);
+  stack.client->set_retry_policy(no_retries);
   stack.start();
   stack.hole_at(mid_dch_instant());
   stack.run_to_done();
-  EXPECT_GE(stack.rrc.rlf_count(), 1);
+  EXPECT_GE(stack.ue.rrc.rlf_count(), 1);
   bool saw_radio_lost = false;
   for (const obs::TraceEvent& e : stack.trace.events()) {
     if (e.kind == obs::TraceKind::kHttpFetchSettled &&
@@ -347,14 +230,14 @@ TEST(OutageRecovery, ExhaustedReestablishmentReleasesContextAndStillFinishes) {
   // settle (degraded or via retries through a fresh promotion) with zero
   // residue and an audit-clean recording.
   Stack stack(browser::PipelineMode::kOriginal);
-  stack.rrc.set_reestablish_decider([](int) { return false; });
+  stack.ue.rrc.set_reestablish_decider([](int) { return false; });
   stack.start();
   stack.hole_at(mid_dch_instant());
   stack.run_to_done();
-  EXPECT_GE(stack.rrc.rlf_count(), 1);
-  EXPECT_EQ(stack.rrc.reestablish_ok(), 0);
-  EXPECT_GE(stack.rrc.reestablish_fail(),
-            stack.rrc_config.max_reestablish_attempts);
+  EXPECT_GE(stack.ue.rrc.rlf_count(), 1);
+  EXPECT_EQ(stack.ue.rrc.reestablish_ok(), 0);
+  EXPECT_GE(stack.ue.rrc.reestablish_fail(),
+            stack.config.rrc.max_reestablish_attempts);
   expect_clean_teardown(stack, "reestablish-exhausted");
 }
 
